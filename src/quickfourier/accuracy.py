@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import classical, improved, reference
+from . import costmodel, reference
 from .counting import OpCounter, build_trig_table
 
 DEFAULT_SEED = 1234
@@ -66,18 +66,10 @@ class AccuracyRow:
     mean_rel_rms_error: float
 
 
-def _transform_fn(algorithm):
-    if algorithm == "classical":
-        return classical.cdft
-    if algorithm == "improved":
-        return improved.cdft
-    raise ValueError(f"algorithm must be classical or improved, got {algorithm!r}")
-
-
 def run_accuracy(algorithm, N, trials=DEFAULT_TRIALS, seed=DEFAULT_SEED,
                  pipeline="two_tier", inputs=None, oracle=None):
     """Mean relative RMS error of one algorithm at one periodization."""
-    fn = _transform_fn(algorithm)
+    fn = costmodel.transform_fn(algorithm, "cdft")
     if inputs is None:
         inputs = random_complex_batch(N, seed, trials, np.complex64)
     if oracle is None:

@@ -11,54 +11,16 @@ All arithmetic flows through the counted helpers and every constant
 comes from the TrigTable, so operation counts and the constant footprint
 are exact.  Buffers follow the stored-slot order of the taxonomy; a
 trailing axis, when present, carries a batch of independent signals.
+The public cdft/rdft/dct0/dst0 come from shared.entry_points, bound to
+this module's cosine/sine pair (_dct, _dst).
 """
 
-import numpy as np
-
-from .counting import OpCounter, TrigTable, cadd, cmul, cmul_rows, csub, rows_like
+from .counting import cadd, cmul, cmul_rows, csub, rows_like
 from .elaborations import (
     split_harmonic_parity_backward,
     split_harmonic_parity_forward,
 )
-from .shared import (
-    cdft_interleaved,
-    complex_from_interleaved,
-    complex_from_packed,
-    interleave_complex,
-    rdft_packed,
-)
-
-_default_tables = {}
-
-
-def _resolve(x, table, counter):
-    dtype = x.dtype
-    if table is None:
-        table = _default_tables.get(dtype.name)
-        if table is None:
-            table = TrigTable(dtype=dtype)
-            _default_tables[dtype.name] = table
-    if np.dtype(table.dtype) != dtype:
-        raise ValueError(f"table dtype {table.dtype} does not match input dtype {dtype}")
-    if counter is None:
-        counter = OpCounter()
-    return table, counter
-
-
-def _prep_real(values, min_n, kind):
-    x = np.asarray(values)
-    if x.dtype not in (np.float32, np.float64):
-        x = x.astype(np.float64)
-    n_vals = x.shape[0]
-    if kind == "full":
-        N = n_vals
-    elif kind == "dc":
-        N = 2 * (n_vals - 1)
-    else:
-        N = 2 * (n_vals + 1)
-    if N < min_n or N & (N - 1):
-        raise ValueError(f"stored length {n_vals} does not give a power-of-two periodization >= {min_n}")
-    return x, N
+from .shared import entry_points
 
 
 def _dct(x, N, table, counter):
@@ -129,39 +91,4 @@ def _dst_odd(x, N, table, counter):
     return out
 
 
-# -- public entry points ----------------------------------------------------
-
-def dct0(values, table=None, counter=None):
-    """Classical cosine transform; values are s(0)..s(N/2)."""
-    x, N = _prep_real(values, 2, "dc")
-    table, counter = _resolve(x, table, counter)
-    return _dct(x, N, table, counter)
-
-
-def dst0(values, table=None, counter=None):
-    """Classical sine transform; values are s(1)..s(N/2-1)."""
-    x, N = _prep_real(values, 4, "ds")
-    table, counter = _resolve(x, table, counter)
-    return _dst(x, N, table, counter)
-
-
-def rdft(values, table=None, counter=None):
-    """Classical real-input DFT, reported for k = 0..N/2."""
-    x, N = _prep_real(values, 2, "full")
-    table, counter = _resolve(x, table, counter)
-    packed = rdft_packed(x, N, _dct, _dst, table, counter)
-    return complex_from_packed(packed, N)
-
-
-def cdft(values, table=None, counter=None):
-    """Classical complex DFT, reported for k = 0..N-1."""
-    z = np.asarray(values)
-    dtype = np.float32 if z.dtype == np.complex64 else np.float64
-    z = z.astype(np.complex64 if dtype == np.float32 else np.complex128)
-    N = z.shape[0]
-    if N < 2 or N & (N - 1):
-        raise ValueError(f"periodization must be a power of two >= 2, got {N}")
-    buf = interleave_complex(z, dtype)
-    table, counter = _resolve(buf, table, counter)
-    out = cdft_interleaved(buf, N, _dct, _dst, table, counter)
-    return complex_from_interleaved(out)
+cdft, rdft, dct0, dst0 = entry_points(__name__, _dct, _dst)

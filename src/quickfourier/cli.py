@@ -12,11 +12,12 @@ fails.
 
 import argparse
 import ast
+import contextlib
 import sys
 
 import numpy as np
 
-from . import accuracy, classical, costmodel, improved, reference, tree
+from . import accuracy, costmodel, reference, tree
 from .counting import OpCounter, build_trig_table
 from .taxonomy import storage_sizes
 
@@ -27,6 +28,16 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
+
+
+@contextlib.contextmanager
+def _output(path):
+    """Standard output when path is None, else the file at path, closed on exit."""
+    if path is None:
+        yield sys.stdout
+    else:
+        with open(path, "w") as fh:
+            yield fh
 
 
 def _stored_length(transform, N):
@@ -104,21 +115,16 @@ def _gather_input(args):
 
 def _run_transform(args):
     x = _gather_input(args)
-    module = classical if args.algorithm == "classical" else improved
-    fn = getattr(module, args.transform)
+    fn = costmodel.transform_fn(args.algorithm, args.transform)
     counter = OpCounter()
     spectrum = fn(x, counter=counter)
-    out = sys.stdout if args.output is None else open(args.output, "w")
-    try:
+    with _output(args.output) as out:
         if np.iscomplexobj(spectrum):
             for v in spectrum:
                 out.write(f"{v.real:.17g},{v.imag:.17g}\n")
         else:
             for v in spectrum:
                 out.write(f"{v:.17g}\n")
-    finally:
-        if out is not sys.stdout:
-            out.close()
     if args.counts:
         print(f"adds={counter.adds} muls={counter.muls} flops={counter.flops}",
               file=sys.stderr)
@@ -135,12 +141,8 @@ def _run_cost_table(args):
     rows = costmodel.cost_table(args.algorithm, args.transform,
                                 _parse_sizes(args.sizes))
     mismatches = [r for r in rows if not r.consistent]
-    out = sys.stdout if args.output is None else open(args.output, "w")
-    try:
+    with _output(args.output) as out:
         costmodel.write_cost_csv(rows, out)
-    finally:
-        if out is not sys.stdout:
-            out.close()
     if mismatches:
         raise AssertionError(
             f"{len(mismatches)} rows disagree with the closed form")
@@ -151,23 +153,16 @@ def _run_accuracy(args):
     rows = accuracy.accuracy_experiment(
         sizes=tuple(_parse_sizes(args.sizes) or accuracy.DEFAULT_SIZES),
         trials=args.trials, seed=args.seed, pipeline=args.pipeline)
-    out = sys.stdout if args.output is None else open(args.output, "w")
-    try:
+    with _output(args.output) as out:
         accuracy.write_accuracy_csv(rows, out)
-    finally:
-        if out is not sys.stdout:
-            out.close()
     return 0
 
 
 def _run_tree(args):
     root = tree.build_tree(args.algorithm, args.transform, args.n)
     text = tree.render_tree(root, args.algorithm, args.transform)
-    if args.output is None:
-        print(text)
-    else:
-        with open(args.output, "w") as fh:
-            fh.write(text + "\n")
+    with _output(args.output) as out:
+        out.write(text + "\n")
     allow = args.algorithm == "classical"
     bad = tree.conservation_violations(root, allow_t1_growth=allow)
     if bad:
@@ -185,9 +180,9 @@ def _run_selftest(args):
                 raise AssertionError(f"{algorithm} cdft count drifted at N={N}")
         print(f"ok {algorithm} operation counts")
 
-    for algorithm, module in (("classical", classical), ("improved", improved)):
+    for algorithm in costmodel.ALGORITHMS:
         z = rng.uniform(-0.5, 0.5, 256) + 1j * rng.uniform(-0.5, 0.5, 256)
-        got = module.cdft(z)
+        got = costmodel.transform_fn(algorithm, "cdft")(z)
         want = reference.cdft_naive(z)
         err = float(accuracy.relative_rms_error(got, want))
         if err > 1e-11:
@@ -196,9 +191,8 @@ def _run_selftest(args):
 
     for algorithm, want in (("classical", 63), ("improved", 64)):
         table = build_trig_table(algorithm, 256, np.float64)
-        module = classical if algorithm == "classical" else improved
         z = rng.uniform(-0.5, 0.5, 256) + 1j * rng.uniform(-0.5, 0.5, 256)
-        module.cdft(z, table=table, counter=OpCounter())
+        costmodel.transform_fn(algorithm, "cdft")(z, table=table, counter=OpCounter())
         if table.touched_count() != want:
             raise AssertionError(
                 f"{algorithm} touched {table.touched_count()} constants, not {want}")

@@ -47,12 +47,22 @@ def _exact(expr):
     return int(expr)
 
 
+def _check_names(algorithm, transform):
+    if algorithm not in ALGORITHMS:
+        raise ValueError(f"algorithm must be one of {ALGORITHMS}, got {algorithm!r}")
+    if transform not in TRANSFORMS:
+        raise ValueError(f"transform must be one of {TRANSFORMS}, got {transform!r}")
+
+
+def transform_fn(algorithm, transform):
+    """The public function for one transform of one algorithm, e.g. improved.cdft."""
+    _check_names(algorithm, transform)
+    return getattr(classical if algorithm == "classical" else improved, transform)
+
+
 def predicted_cost(algorithm, transform, N):
     """Closed-form (adds, muls) for one transform at periodization N."""
-    if algorithm not in ALGORITHMS:
-        raise ValueError(f"algorithm must be one of {ALGORITHMS}")
-    if transform not in TRANSFORMS:
-        raise ValueError(f"transform must be one of {TRANSFORMS}")
+    _check_names(algorithm, transform)
     lg = _lg(N)
     if algorithm == "classical":
         if transform != "cdft":
@@ -95,12 +105,7 @@ def _input_for(transform, N, rng):
 
 def measured_cost(algorithm, transform, N):
     """(adds, muls) observed by running the instrumented transform once."""
-    if algorithm not in ALGORITHMS:
-        raise ValueError(f"algorithm must be one of {ALGORITHMS}")
-    if transform not in TRANSFORMS:
-        raise ValueError(f"transform must be one of {TRANSFORMS}")
-    module = classical if algorithm == "classical" else improved
-    fn = getattr(module, transform)
+    fn = transform_fn(algorithm, transform)
     x = _input_for(transform, N, np.random.default_rng(N))
     table = build_trig_table(algorithm, N, np.float64)
     counter = OpCounter()

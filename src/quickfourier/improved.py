@@ -5,32 +5,25 @@ odd-time children split harmonics by parity.  The odd-time odd-harmonic
 children are the only signals needing half-secant conversions, and the
 conversion maps them straight onto smaller odd-time signals, so storage
 is conserved exactly at every step: no converted signal with an extra
-harmonic cell ever appears.  The complex and real drivers are shared
-with the classical variant; the recursion bases at eight points use the
-eighth-turn constants.
+harmonic cell ever appears.  The recursion bases at eight points use the
+eighth-turn constants.  The complex and real drivers and the public
+cdft/rdft/dct0/dst0 are shared with the classical variant: they come
+from shared.entry_points, bound to this module's cosine/sine pair
+(_dct, _dst).
 
 All arithmetic flows through the counted helpers and every constant
 comes from the TrigTable.  Buffers follow the stored-slot order of the
 taxonomy; a trailing axis, when present, carries a batch of signals.
 """
 
-import numpy as np
-
-from .counting import OpCounter, cadd, cmul, cmul_rows, csub, rows_like
-from .classical import _prep_real, _resolve
+from .counting import cadd, cmul, cmul_rows, csub, rows_like
 from .elaborations import (
     split_harmonic_parity_backward,
     split_harmonic_parity_forward,
     split_time_parity_backward,
     split_time_parity_forward,
 )
-from .shared import (
-    cdft_interleaved,
-    complex_from_interleaved,
-    complex_from_packed,
-    interleave_complex,
-    rdft_packed,
-)
+from .shared import entry_points
 
 
 def _dct(x, N, table, counter):
@@ -112,39 +105,4 @@ def _dst_oo(x, N, table, counter):
     return out
 
 
-# -- public entry points ----------------------------------------------------
-
-def dct0(values, table=None, counter=None):
-    """Improved cosine transform; values are s(0)..s(N/2)."""
-    x, N = _prep_real(values, 2, "dc")
-    table, counter = _resolve(x, table, counter)
-    return _dct(x, N, table, counter)
-
-
-def dst0(values, table=None, counter=None):
-    """Improved sine transform; values are s(1)..s(N/2-1)."""
-    x, N = _prep_real(values, 4, "ds")
-    table, counter = _resolve(x, table, counter)
-    return _dst(x, N, table, counter)
-
-
-def rdft(values, table=None, counter=None):
-    """Improved real-input DFT, reported for k = 0..N/2."""
-    x, N = _prep_real(values, 2, "full")
-    table, counter = _resolve(x, table, counter)
-    packed = rdft_packed(x, N, _dct, _dst, table, counter)
-    return complex_from_packed(packed, N)
-
-
-def cdft(values, table=None, counter=None):
-    """Improved complex DFT, reported for k = 0..N-1."""
-    z = np.asarray(values)
-    dtype = np.float32 if z.dtype == np.complex64 else np.float64
-    z = z.astype(np.complex64 if dtype == np.float32 else np.complex128)
-    N = z.shape[0]
-    if N < 2 or N & (N - 1):
-        raise ValueError(f"periodization must be a power of two >= 2, got {N}")
-    buf = interleave_complex(z, dtype)
-    table, counter = _resolve(buf, table, counter)
-    out = cdft_interleaved(buf, N, _dct, _dst, table, counter)
-    return complex_from_interleaved(out)
+cdft, rdft, dct0, dst0 = entry_points(__name__, _dct, _dst)

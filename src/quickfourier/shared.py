@@ -1,10 +1,19 @@
-"""Real-field drivers shared by both fast transform variants.
+"""Real-field drivers and public entry points shared by both fast transforms.
 
 A real DFT folds into one even-symmetric (cosine) and one odd-symmetric
 (sine) problem; a complex DFT runs one real DFT per component and then
-recombines mirrored harmonics.  These two reductions are the same for
-the classical and the improved recursion, so one implementation serves
-both, parameterized by the cosine/sine transform callables.
+recombines mirrored harmonics.  These two reductions, and the public
+cdft/rdft/dct0/dst0 around them, are the same for the classical and the
+improved recursion, so one implementation serves both, parameterized by
+the cosine/sine transform callables.
+
+Input contract of the public transforms: one signal as a 1-D array, or
+independent signals as the columns of a 2-D array.  cdft takes any
+numeric samples and works in complex64 for complex64 input, complex128
+otherwise; rdft/dct0/dst0 take real samples and work in float32 for
+float32 input, float64 otherwise.  Any other number of dimensions,
+complex samples for a real transform, or a stored length that does not
+give a power-of-two periodization raises ValueError.
 
 Buffer conventions (one signal per column when batched):
   * real input: cell n holds s(n), n = 0..N-1.
@@ -15,7 +24,7 @@ Buffer conventions (one signal per column when batched):
 
 import numpy as np
 
-from .counting import cadd, csub, rows_like
+from .counting import OpCounter, TrigTable, cadd, csub, rows_like
 
 
 def rdft_packed(x, N, dct_fn, dst_fn, table, counter):
@@ -99,3 +108,98 @@ def complex_from_packed(buf, N):
     out.real[1:N // 2] = buf[1:N - 1:2]
     out.imag[1:N // 2] = buf[2:N - 1:2]
     return out
+
+
+# -- public entry points ----------------------------------------------------
+
+_default_tables = {}
+
+
+def _resolve(x, table, counter):
+    dtype = x.dtype
+    if table is None:
+        table = _default_tables.get(dtype.name)
+        if table is None:
+            table = TrigTable(dtype=dtype)
+            _default_tables[dtype.name] = table
+    if np.dtype(table.dtype) != dtype:
+        raise ValueError(f"table dtype {table.dtype} does not match input dtype {dtype}")
+    if counter is None:
+        counter = OpCounter()
+    return table, counter
+
+
+def _signal(values):
+    x = np.asarray(values)
+    if x.ndim not in (1, 2):
+        raise ValueError(f"expected one signal (1-D) or columns of signals (2-D), "
+                         f"got a {x.ndim}-D array")
+    return x
+
+
+def _prep_real(values, min_n, kind):
+    x = _signal(values)
+    if np.iscomplexobj(x):
+        raise ValueError("this transform takes real samples; use cdft for complex ones")
+    if x.dtype not in (np.float32, np.float64):
+        x = x.astype(np.float64)
+    n_vals = x.shape[0]
+    if kind == "full":
+        N = n_vals
+    elif kind == "dc":
+        N = 2 * (n_vals - 1)
+    else:
+        N = 2 * (n_vals + 1)
+    if N < min_n or N & (N - 1):
+        raise ValueError(f"stored length {n_vals} does not give a power-of-two periodization >= {min_n}")
+    return x, N
+
+
+def entry_points(module, dct_fn, dst_fn):
+    """(cdft, rdft, dct0, dst0) of the recursion with these cosine/sine kernels.
+
+    module is the binding module's __name__.  Each function reports
+    itself as part of that module and names its algorithm, so help(),
+    profilers and tracers that sort functions by module tell the two
+    recursions apart.
+    """
+    algorithm = module.rpartition(".")[2].capitalize()
+
+    def cdft(values, table=None, counter=None):
+        """complex DFT, reported for k = 0..N-1."""
+        z = _signal(values)
+        dtype = np.float32 if z.dtype == np.complex64 else np.float64
+        z = np.asarray(z, dtype=np.complex64 if dtype == np.float32 else np.complex128)
+        N = z.shape[0]
+        if N < 2 or N & (N - 1):
+            raise ValueError(f"periodization must be a power of two >= 2, got {N}")
+        buf = interleave_complex(z, dtype)
+        table, counter = _resolve(buf, table, counter)
+        out = cdft_interleaved(buf, N, dct_fn, dst_fn, table, counter)
+        return complex_from_interleaved(out)
+
+    def rdft(values, table=None, counter=None):
+        """real-input DFT, reported for k = 0..N/2."""
+        x, N = _prep_real(values, 2, "full")
+        table, counter = _resolve(x, table, counter)
+        packed = rdft_packed(x, N, dct_fn, dst_fn, table, counter)
+        return complex_from_packed(packed, N)
+
+    def dct0(values, table=None, counter=None):
+        """cosine transform; values are s(0)..s(N/2)."""
+        x, N = _prep_real(values, 2, "dc")
+        table, counter = _resolve(x, table, counter)
+        return dct_fn(x, N, table, counter)
+
+    def dst0(values, table=None, counter=None):
+        """sine transform; values are s(1)..s(N/2-1)."""
+        x, N = _prep_real(values, 4, "ds")
+        table, counter = _resolve(x, table, counter)
+        return dst_fn(x, N, table, counter)
+
+    fns = (cdft, rdft, dct0, dst0)
+    for fn in fns:
+        fn.__module__ = module
+        fn.__qualname__ = fn.__name__
+        fn.__doc__ = f"{algorithm} {fn.__doc__}"
+    return fns

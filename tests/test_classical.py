@@ -185,3 +185,22 @@ def test_validation_errors():
         # working dtype of the table must match the buffer dtype
         table = build_trig_table("classical", 16, np.float32)
         classical.cdft(np.zeros(16, dtype=np.complex128), table=table)
+    with pytest.raises(ValueError):
+        classical.cdft(np.complex128(1))  # 0-d: no signal axis
+    # more than two dimensions: neither a signal nor columns of signals
+    for fn, stored in ((classical.cdft, 16), (classical.rdft, 16),
+                       (classical.dct0, 9), (classical.dst0, 7)):
+        with pytest.raises(ValueError):
+            fn(np.zeros((stored, 2, 2)))
+    # complex samples for a real transform, even with zero imaginary parts
+    for fn, stored in ((classical.rdft, 16), (classical.dct0, 9), (classical.dst0, 7)):
+        with pytest.raises(ValueError):
+            fn(np.zeros(stored, dtype=np.complex128))
+
+
+def test_entry_points_report_their_module():
+    for transform in ("cdft", "rdft", "dct0", "dst0"):
+        fn = getattr(classical, transform)
+        assert fn.__module__ == "quickfourier.classical"
+        assert fn.__name__ == fn.__qualname__ == transform
+        assert fn.__doc__.startswith("Classical ")

@@ -178,3 +178,22 @@ def test_validation_errors():
         improved.dct0(np.zeros(4))
     with pytest.raises(ValueError):
         improved.dst0(np.zeros(2))  # implies N = 6
+    with pytest.raises(ValueError):
+        improved.cdft(np.complex128(1))  # 0-d: no signal axis
+    # more than two dimensions: neither a signal nor columns of signals
+    for fn, stored in ((improved.cdft, 16), (improved.rdft, 16),
+                       (improved.dct0, 9), (improved.dst0, 7)):
+        with pytest.raises(ValueError):
+            fn(np.zeros((stored, 2, 2)))
+    # complex samples for a real transform, even with zero imaginary parts
+    for fn, stored in ((improved.rdft, 16), (improved.dct0, 9), (improved.dst0, 7)):
+        with pytest.raises(ValueError):
+            fn(np.zeros(stored, dtype=np.complex128))
+
+
+def test_entry_points_report_their_module():
+    for transform in ("cdft", "rdft", "dct0", "dst0"):
+        fn = getattr(improved, transform)
+        assert fn.__module__ == "quickfourier.improved"
+        assert fn.__name__ == fn.__qualname__ == transform
+        assert fn.__doc__.startswith("Improved ")
