@@ -7,12 +7,25 @@ whose even harmonics determine the wanted odd ones.  The converted
 signals store one extra harmonic cell, so this variant's working storage
 grows slowly with depth.
 
+The recursion is the step table STEPS, which shared.run_levels runs
+level by level with same-(type, N) subproblems stacked as columns:
+
+  type   leaf  forward -> children                  backward
+  dc_tt  N=2   harmonic split -> dc_tt(N/2),        interleave
+               dc_to(N)
+  dc_to  N=8   half-secant conversion to a          interleave, then
+               dc_t1t(N/2), harmonic split ->       neighbour sums
+               dc_tt(N/4), dc_to(N/2)
+  ds_tt  N=4   harmonic split -> ds_tt(N/2),        interleave
+               ds_to(N)
+  ds_to  N=4   half-secant conversion ->            neighbour sums, then
+               ds_tt(N/2)                           +- the centre sample
+
 All arithmetic flows through the counted helpers and every constant
 comes from the TrigTable, so operation counts and the constant footprint
-are exact.  Buffers follow the stored-slot order of the taxonomy; a
-trailing axis, when present, carries a batch of independent signals.
-The public cdft/rdft/dct0/dst0 come from shared.entry_points, bound to
-this module's cosine/sine pair (_dct, _dst).
+are exact.  Buffers follow the stored-slot order of the taxonomy, one
+signal per column.  The public cdft/rdft/dct0/dst0 come from
+shared.entry_points, bound to this table.
 """
 
 from .counting import cadd, cmul, cmul_rows, csub, rows_like
@@ -20,75 +33,72 @@ from .elaborations import (
     split_harmonic_parity_backward,
     split_harmonic_parity_forward,
 )
-from .shared import entry_points
+from .shared import Step, copy_leaf, entry_points, harmonic_split, two_point_leaf
 
 
-def _dct(x, N, table, counter):
-    """Cosine transform of a dc_tt buffer [s(0)..s(N/2)] -> [S(0)..S(N/2)]."""
-    if N == 2:
-        out = rows_like(x, 2)
-        out[0] = cadd(counter, x[0], x[1])
-        out[1] = csub(counter, x[0], x[1])
-        return out
-    even, odd = split_harmonic_parity_forward("dc_tt", N, x, counter)
-    spec_even = _dct(even, N // 2, table, counter)
-    spec_odd = _dct_odd(odd, N, table, counter)
-    return split_harmonic_parity_backward("dc_tt", N, spec_even, spec_odd)
-
-
-def _dct_odd(x, N, table, counter):
-    """Odd harmonics of a dc_to buffer [s(0)..s(N/4-1)] -> slots (k-1)/2."""
+def _dct_odd_leaf(x, N, table, counter):
+    """Odd harmonics of a dc_to buffer [s(0)..s(N/4-1)] at N = 4 or 8."""
     if N == 4:
         return x.copy()  # S(1) = s(0)
-    if N == 8:
-        # two-point definition: S(1), S(3) = s(0) +- s(1) cos(2 pi/8)
-        t = cmul(counter, x[1], table.half_secant(1, 8))
-        out = rows_like(x, 2)
-        out[0] = cadd(counter, x[0], t)
-        out[1] = csub(counter, x[0], t)
-        return out
+    # two-point definition: S(1), S(3) = s(0) +- s(1) cos(2 pi/8)
+    t = cmul(counter, x[1], table.half_secant(1, 8))
+    out = rows_like(x, 2)
+    out[0] = cadd(counter, x[0], t)
+    out[1] = csub(counter, x[0], t)
+    return out
+
+
+def _dct_odd_forward(x, N, table, counter):
+    """dc_to buffer [s(0)..s(N/4-1)]: convert to dc_t1t at N/2, split its harmonics."""
     q = N // 4
     conv = rows_like(x, q)
     conv[0] = cmul(counter, x[0], table.half)  # zero angle: plain halving, still one multiply
     conv[1:] = cmul_rows(counter, x[1:], table.half_secants(N, range(1, q)))
     # converted signal: its even harmonics at half periodization carry
-    # everything needed; split it by harmonic parity and recurse
+    # everything needed; split it by harmonic parity
     even, odd = split_harmonic_parity_forward("dc_t1t", N // 2, conv, counter)
-    spec_even = _dct(even, N // 4, table, counter)
-    spec_odd = _dct_odd(odd, N // 2, table, counter)
-    half_spec = split_harmonic_parity_backward("dc_t1t", N // 2, spec_even, spec_odd)
+    return (("dc_tt", N // 4, even), ("dc_to", N // 2, odd)), None
+
+
+def _dct_odd_backward(N, state, spectra, counter):
+    """Odd harmonics in slots (k-1)/2 from the converted signal's spectrum."""
+    q = N // 4
+    half_spec = split_harmonic_parity_backward("dc_t1t", N // 2, spectra[0], spectra[1])
     # each odd target harmonic is the sum of its two even neighbours
     return cadd(counter, half_spec[0:q], half_spec[1:q + 1])
 
 
-def _dst(x, N, table, counter):
-    """Sine transform of a ds_tt buffer [s(1)..s(N/2-1)] -> [S(1)..S(N/2-1)]."""
-    if N == 4:
-        return x.copy()  # S(1) = s(1)
-    even, odd = split_harmonic_parity_forward("ds_tt", N, x, counter)
-    spec_even = _dst(even, N // 2, table, counter)
-    spec_odd = _dst_odd(odd, N, table, counter)
-    return split_harmonic_parity_backward("ds_tt", N, spec_even, spec_odd)
-
-
-def _dst_odd(x, N, table, counter):
-    """Odd harmonics of a ds_to buffer [s(1)..s(N/4)] -> slots (k-1)/2."""
+def _dst_odd_forward(x, N, table, counter):
+    """ds_to buffer [s(1)..s(N/4)]: convert s(1)..s(N/4-1) onto ds_tt at N/2."""
     q = N // 4
-    if N == 4:
-        return x.copy()  # S(1) = s(1) sin(2 pi/4 * 1) = s(1)
-    center = x[q - 1]  # s(N/4): feeds every odd harmonic with alternating sign
+    # s(N/4) feeds every odd harmonic with alternating sign; a copy, so
+    # the input buffer can go as soon as this step has consumed it
+    center = x[q - 1].copy()
     conv = cmul_rows(counter, x[0:q - 1], table.half_secants(N, range(1, q)))
-    spec = _dst(conv, N // 2, table, counter)
-    partial = rows_like(x, q)
+    return (("ds_tt", N // 2, conv),), center
+
+
+def _dst_odd_backward(N, center, spectra, counter):
+    """Odd harmonics in slots (k-1)/2 from the converted spectrum and s(N/4)."""
+    q = N // 4
+    spec = spectra[0]
+    partial = rows_like(spec, q)
     # neighbours at harmonics 0 and N/2 vanish for a sine spectrum, so the
     # first and last odd harmonics are free copies
     partial[0] = spec[0]
     partial[q - 1] = spec[q - 2]
     partial[1:q - 1] = cadd(counter, spec[0:q - 2], spec[1:q - 1])
-    out = rows_like(x, q)
+    out = rows_like(spec, q)
     out[0::2] = cadd(counter, partial[0::2], center)
     out[1::2] = csub(counter, partial[1::2], center)
     return out
 
 
-cdft, rdft, dct0, dst0 = entry_points(__name__, _dct, _dst)
+STEPS = {
+    "dc_tt": harmonic_split("dc_tt", 2, two_point_leaf),
+    "dc_to": Step(8, _dct_odd_leaf, _dct_odd_forward, _dct_odd_backward),
+    "ds_tt": harmonic_split("ds_tt", 4, copy_leaf),
+    "ds_to": Step(4, copy_leaf, _dst_odd_forward, _dst_odd_backward),  # S(1) = s(1) at N=4
+}
+
+cdft, rdft, dct0, dst0 = entry_points(__name__, STEPS)

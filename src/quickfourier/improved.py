@@ -6,59 +6,59 @@ children are the only signals needing half-secant conversions, and the
 conversion maps them straight onto smaller odd-time signals, so storage
 is conserved exactly at every step: no converted signal with an extra
 harmonic cell ever appears.  The recursion bases at eight points use the
-eighth-turn constants.  The complex and real drivers and the public
-cdft/rdft/dct0/dst0 are shared with the classical variant: they come
-from shared.entry_points, bound to this module's cosine/sine pair
-(_dct, _dst).
+eighth-turn constants.
+
+The recursion is the step table STEPS, which shared.run_levels runs
+level by level with same-(type, N) subproblems stacked as columns:
+
+  type   leaf  forward -> children                  backward
+  dc_tt  N=2   time split -> dc_tt(N/2), dc_ot(N)   mirrored sums
+  dc_ot  N=4   harmonic split -> dc_ot(N/2),        interleave
+               dc_oo(N)
+  dc_oo  N=8   half-secant conversion ->            neighbour sums
+               dc_ot(N/2)
+  ds_tt  N=4   time split -> ds_tt(N/2), ds_ot(N)   mirrored sums
+  ds_ot  N=4   harmonic split -> ds_ot(N/2),        interleave
+               ds_oo(N)
+  ds_oo  N=8   half-secant conversion ->            neighbour sums
+               ds_ot(N/2)
+
+The complex and real drivers and the public cdft/rdft/dct0/dst0 are
+shared with the classical variant: they come from shared.entry_points,
+bound to this table.
 
 All arithmetic flows through the counted helpers and every constant
 comes from the TrigTable.  Buffers follow the stored-slot order of the
-taxonomy; a trailing axis, when present, carries a batch of signals.
+taxonomy, one signal per column.
 """
 
-from .counting import cadd, cmul, cmul_rows, csub, rows_like
-from .elaborations import (
-    split_harmonic_parity_backward,
-    split_harmonic_parity_forward,
-    split_time_parity_backward,
-    split_time_parity_forward,
-)
-from .shared import entry_points
+from .counting import cadd, cmul, cmul_rows, rows_like
+from .shared import Step, copy_leaf, entry_points, harmonic_split, time_split, two_point_leaf
 
 
-def _dct(x, N, table, counter):
-    """Cosine transform of a dc_tt buffer [s(0)..s(N/2)] -> [S(0)..S(N/2)]."""
-    if N == 2:
-        out = rows_like(x, 2)
-        out[0] = cadd(counter, x[0], x[1])
-        out[1] = csub(counter, x[0], x[1])
-        return out
-    even, odd = split_time_parity_forward("dc_tt", N, x)
-    spec_even = _dct(even, N // 2, table, counter)
-    spec_odd = _dct_ot(odd, N, table, counter)
-    return split_time_parity_backward("dc_tt", N, spec_even, spec_odd, counter)
+def _convert_onto(child_type):
+    """Forward step of an odd-odd signal: the half-secant conversion onto
+    an odd-time signal of child_type at N/2."""
+
+    def forward(x, N, table, counter):
+        conv = cmul_rows(counter, x, table.half_secants(N, range(1, N // 4, 2)))
+        return ((child_type, N // 2, conv),), None
+
+    return forward
 
 
-def _dct_ot(x, N, table, counter):
-    """Cosine spectrum of an odd-time buffer [s(1), s(3), ..] -> [S(0)..S(N/4-1)]."""
-    if N == 4:
-        return x.copy()  # S(0) = s(1)
-    even, odd = split_harmonic_parity_forward("dc_ot", N, x, counter)
-    spec_even = _dct_ot(even, N // 2, table, counter)
-    spec_odd = _dct_oo(odd, N, table, counter)
-    return split_harmonic_parity_backward("dc_ot", N, spec_even, spec_odd)
+def _dct_oo_leaf(x, N, table, counter):
+    """dc_oo at N = 8: the one odd harmonic of the one stored sample."""
+    out = rows_like(x, 1)
+    out[0] = cmul(counter, x[0], table.eighth_cos())  # S(1) = s(1) cos(2 pi/8)
+    return out
 
 
-def _dct_oo(x, N, table, counter):
-    """Odd harmonics of an odd-time buffer [s(1), s(3), ..] -> slots (k-1)/2."""
-    if N == 8:
-        out = rows_like(x, 1)
-        out[0] = cmul(counter, x[0], table.eighth_cos())  # S(1) = s(1) cos(2 pi/8)
-        return out
+def _dct_oo_backward(N, state, spectra, counter):
+    """Odd harmonics of a dc_oo signal in slots (k-1)/2 from the converted spectrum."""
     h = N // 8
-    conv = cmul_rows(counter, x, table.half_secants(N, range(1, N // 4, 2)))
-    spec = _dct_ot(conv, N // 2, table, counter)
-    out = rows_like(x, h)
+    spec = spectra[0]
+    out = rows_like(spec, h)
     # each odd harmonic is the sum of its two even neighbours in the
     # converted spectrum; the neighbour at N/4 vanishes for odd-time
     # signals, so the last one is a free copy
@@ -67,37 +67,19 @@ def _dct_oo(x, N, table, counter):
     return out
 
 
-def _dst(x, N, table, counter):
-    """Sine transform of a ds_tt buffer [s(1)..s(N/2-1)] -> [S(1)..S(N/2-1)]."""
-    if N == 4:
-        return x.copy()  # S(1) = s(1)
-    even, odd = split_time_parity_forward("ds_tt", N, x)
-    spec_even = _dst(even, N // 2, table, counter)
-    spec_odd = _dst_ot(odd, N, table, counter)
-    return split_time_parity_backward("ds_tt", N, spec_even, spec_odd, counter)
+def _dst_oo_leaf(x, N, table, counter):
+    """ds_oo at N = 8: the one odd harmonic of the one stored sample."""
+    out = rows_like(x, 1)
+    # S(1) = s(1) sin(2 pi/8); numerically the half-secant at 1/8
+    out[0] = cmul(counter, x[0], table.half_secant(1, 8))
+    return out
 
 
-def _dst_ot(x, N, table, counter):
-    """Sine spectrum of an odd-time buffer [s(1), s(3), ..] -> [S(1)..S(N/4)]."""
-    if N == 4:
-        return x.copy()  # S(1) = s(1) sin(2 pi/4) = s(1)
-    even, odd = split_harmonic_parity_forward("ds_ot", N, x, counter)
-    spec_even = _dst_ot(even, N // 2, table, counter)
-    spec_odd = _dst_oo(odd, N, table, counter)
-    return split_harmonic_parity_backward("ds_ot", N, spec_even, spec_odd)
-
-
-def _dst_oo(x, N, table, counter):
-    """Odd harmonics of an odd-time sine buffer [s(1), s(3), ..] -> slots (k-1)/2."""
-    if N == 8:
-        out = rows_like(x, 1)
-        # S(1) = s(1) sin(2 pi/8); numerically the half-secant at 1/8
-        out[0] = cmul(counter, x[0], table.half_secant(1, 8))
-        return out
+def _dst_oo_backward(N, state, spectra, counter):
+    """Odd harmonics of a ds_oo signal in slots (k-1)/2 from the converted spectrum."""
     h = N // 8
-    conv = cmul_rows(counter, x, table.half_secants(N, range(1, N // 4, 2)))
-    spec = _dst_ot(conv, N // 2, table, counter)
-    out = rows_like(x, h)
+    spec = spectra[0]
+    out = rows_like(spec, h)
     # the neighbour at harmonic 0 vanishes for a sine spectrum, so the
     # first odd harmonic is a free copy
     out[0] = spec[0]
@@ -105,4 +87,13 @@ def _dst_oo(x, N, table, counter):
     return out
 
 
-cdft, rdft, dct0, dst0 = entry_points(__name__, _dct, _dst)
+STEPS = {
+    "dc_tt": time_split("dc_tt", 2, two_point_leaf),
+    "dc_ot": harmonic_split("dc_ot", 4, copy_leaf),  # S(0) = s(1) at N=4
+    "dc_oo": Step(8, _dct_oo_leaf, _convert_onto("dc_ot"), _dct_oo_backward),
+    "ds_tt": time_split("ds_tt", 4, copy_leaf),
+    "ds_ot": harmonic_split("ds_ot", 4, copy_leaf),  # S(1) = s(1) at N=4
+    "ds_oo": Step(8, _dst_oo_leaf, _convert_onto("ds_ot"), _dst_oo_backward),
+}
+
+cdft, rdft, dct0, dst0 = entry_points(__name__, STEPS)

@@ -196,6 +196,9 @@ def test_validation_errors():
     for fn, stored in ((classical.rdft, 16), (classical.dct0, 9), (classical.dst0, 7)):
         with pytest.raises(ValueError):
             fn(np.zeros(stored, dtype=np.complex128))
+        # an object array hides its complex elements from a dtype check
+        with pytest.raises(ValueError):
+            fn(np.array([1j] + [0] * (stored - 1), dtype=object))
 
 
 def test_entry_points_report_their_module():

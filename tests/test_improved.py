@@ -189,6 +189,9 @@ def test_validation_errors():
     for fn, stored in ((improved.rdft, 16), (improved.dct0, 9), (improved.dst0, 7)):
         with pytest.raises(ValueError):
             fn(np.zeros(stored, dtype=np.complex128))
+        # an object array hides its complex elements from a dtype check
+        with pytest.raises(ValueError):
+            fn(np.array([1j] + [0] * (stored - 1), dtype=object))
 
 
 def test_entry_points_report_their_module():
