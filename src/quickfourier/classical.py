@@ -8,7 +8,10 @@ signals store one extra harmonic cell, so this variant's working storage
 grows slowly with depth.
 
 The recursion is the step table STEPS, which shared.run_levels runs
-level by level with same-(type, N) subproblems stacked as columns:
+level by level with same-(type, N) subproblems stacked as columns.  Each
+Step declares its leaf size and its children as (type, halvings of N),
+so the schedule of a root is derived from the table alone and cached;
+forward steps return only the children's buffers:
 
   type   leaf  forward -> children                  backward
   dc_tt  N=2   harmonic split -> dc_tt(N/2),        interleave
@@ -56,8 +59,7 @@ def _dct_odd_forward(x, N, table, counter):
     conv[1:] = cmul_rows(counter, x[1:], table.half_secants(N, range(1, q)))
     # converted signal: its even harmonics at half periodization carry
     # everything needed; split it by harmonic parity
-    even, odd = split_harmonic_parity_forward("dc_t1t", N // 2, conv, counter)
-    return (("dc_tt", N // 4, even), ("dc_to", N // 2, odd)), None
+    return split_harmonic_parity_forward("dc_t1t", N // 2, conv, counter), None
 
 
 def _dct_odd_backward(N, state, spectra, counter):
@@ -75,7 +77,7 @@ def _dst_odd_forward(x, N, table, counter):
     # the input buffer can go as soon as this step has consumed it
     center = x[q - 1].copy()
     conv = cmul_rows(counter, x[0:q - 1], table.half_secants(N, range(1, q)))
-    return (("ds_tt", N // 2, conv),), center
+    return (conv,), center
 
 
 def _dst_odd_backward(N, center, spectra, counter):
@@ -96,9 +98,11 @@ def _dst_odd_backward(N, center, spectra, counter):
 
 STEPS = {
     "dc_tt": harmonic_split("dc_tt", 2, two_point_leaf),
-    "dc_to": Step(8, _dct_odd_leaf, _dct_odd_forward, _dct_odd_backward),
+    "dc_to": Step(8, (("dc_tt", 2), ("dc_to", 1)),
+                  _dct_odd_leaf, _dct_odd_forward, _dct_odd_backward),
     "ds_tt": harmonic_split("ds_tt", 4, copy_leaf),
-    "ds_to": Step(4, copy_leaf, _dst_odd_forward, _dst_odd_backward),  # S(1) = s(1) at N=4
+    "ds_to": Step(4, (("ds_tt", 1),),  # S(1) = s(1) at N=4
+                  copy_leaf, _dst_odd_forward, _dst_odd_backward),
 }
 
 cdft, rdft, dct0, dst0 = entry_points(__name__, STEPS)

@@ -108,7 +108,8 @@ class TrigTable:
         self.pipeline = pipeline
         self.half = self.dtype.type(0.5)  # exact; not a table entry
         self._values = {}
-        self._vec_cache = {}
+        self._vec_cache = {}    # (N, indices) -> (vector, its constants' keys)
+        self._logged_vecs = {}  # the vectors whose constants are logged since reset_log
         self.touched = set()
 
     # -- constant evaluation ------------------------------------------------
@@ -158,20 +159,28 @@ class TrigTable:
         return self._get(("sec", j, d))
 
     def half_secants(self, N, ns):
-        """Vector of half-secants for the time indices ns at periodization N."""
-        ns = tuple(int(n) for n in ns)
-        cached = self._vec_cache.get((N, ns))
-        if cached is None:
-            vals = np.empty(len(ns), dtype=self.dtype)
-            keys = []
-            for i, n in enumerate(ns):
-                g = gcd(n, N)
-                keys.append(("sec", n // g, N // g))
-                vals[i] = self._get(keys[-1])
-            cached = (vals, frozenset(keys))
-            self._vec_cache[(N, ns)] = cached
-        self.touched.update(cached[1])
-        return cached[0]
+        """Read-only vector of half-secants for the time indices ns at periodization N.
+
+        A range is its own cache key.  Each vector's constants join the
+        access log on its first lookup after a reset_log().
+        """
+        key = (N, ns if isinstance(ns, range) else tuple(int(n) for n in ns))
+        vec = self._logged_vecs.get(key)
+        if vec is None:
+            vec, keys = self._vec_cache.get(key) or self._secant_vector(N, key[1])
+            self._vec_cache[key] = vec, keys
+            self.touched.update(keys)
+            self._logged_vecs[key] = vec
+        return vec
+
+    def _secant_vector(self, N, ns):
+        keys = []
+        for n in ns:
+            g = gcd(n, N)
+            keys.append(("sec", n // g, N // g))
+        vec = np.array([self._get(key) for key in keys], dtype=self.dtype)
+        vec.flags.writeable = False
+        return vec, frozenset(keys)
 
     def eighth_cos(self):
         """cos(2 pi / 8), the one named constant beyond the half-secants."""
@@ -184,6 +193,7 @@ class TrigTable:
 
     def reset_log(self):
         self.touched = set()
+        self._logged_vecs = {}
 
 
 def build_trig_table(algorithm, N, dtype=np.float64, pipeline="two_tier"):

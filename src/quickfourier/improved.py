@@ -9,7 +9,10 @@ harmonic cell ever appears.  The recursion bases at eight points use the
 eighth-turn constants.
 
 The recursion is the step table STEPS, which shared.run_levels runs
-level by level with same-(type, N) subproblems stacked as columns:
+level by level with same-(type, N) subproblems stacked as columns.  Each
+Step declares its leaf size and its children as (type, halvings of N),
+so the schedule of a root is derived from the table alone and cached;
+forward steps return only the children's buffers:
 
   type   leaf  forward -> children                  backward
   dc_tt  N=2   time split -> dc_tt(N/2), dc_ot(N)   mirrored sums
@@ -36,15 +39,10 @@ from .counting import cadd, cmul, cmul_rows, rows_like
 from .shared import Step, copy_leaf, entry_points, harmonic_split, time_split, two_point_leaf
 
 
-def _convert_onto(child_type):
+def _convert_odd_odd(x, N, table, counter):
     """Forward step of an odd-odd signal: the half-secant conversion onto
-    an odd-time signal of child_type at N/2."""
-
-    def forward(x, N, table, counter):
-        conv = cmul_rows(counter, x, table.half_secants(N, range(1, N // 4, 2)))
-        return ((child_type, N // 2, conv),), None
-
-    return forward
+    an odd-time signal at N/2."""
+    return (cmul_rows(counter, x, table.half_secants(N, range(1, N // 4, 2))),), None
 
 
 def _dct_oo_leaf(x, N, table, counter):
@@ -90,10 +88,10 @@ def _dst_oo_backward(N, state, spectra, counter):
 STEPS = {
     "dc_tt": time_split("dc_tt", 2, two_point_leaf),
     "dc_ot": harmonic_split("dc_ot", 4, copy_leaf),  # S(0) = s(1) at N=4
-    "dc_oo": Step(8, _dct_oo_leaf, _convert_onto("dc_ot"), _dct_oo_backward),
+    "dc_oo": Step(8, (("dc_ot", 1),), _dct_oo_leaf, _convert_odd_odd, _dct_oo_backward),
     "ds_tt": time_split("ds_tt", 4, copy_leaf),
     "ds_ot": harmonic_split("ds_ot", 4, copy_leaf),  # S(1) = s(1) at N=4
-    "ds_oo": Step(8, _dst_oo_leaf, _convert_onto("ds_ot"), _dst_oo_backward),
+    "ds_oo": Step(8, (("ds_ot", 1),), _dst_oo_leaf, _convert_odd_odd, _dst_oo_backward),
 }
 
 cdft, rdft, dct0, dst0 = entry_points(__name__, STEPS)

@@ -4,11 +4,13 @@ Each fast transform is declared as a step table: a dict that maps a
 signal type (dc_tt, dc_ot, ds_to, ...) to a Step.  A Step gives
 
   * leaf: the largest periodization N that its base case handles;
+  * children: what a split makes of the signal, as (child type, number
+    of halvings of N) pairs;
   * base(x, N, table, counter): the spectrum of a leaf;
-  * forward(x, N, table, counter): the children as (type, N, buffer)
-    triples, plus a state that the backward step needs (or None);
+  * forward(x, N, table, counter): the children's buffers, in the order
+    of children, plus a state that the backward step needs (or None);
   * backward(N, state, spectra, counter): the spectrum, from the
-    children's spectra in the order forward listed them.
+    children's spectra in the order of children.
 
 run_levels runs a table level by level rather than depth first.  It
 groups pending subproblems by (type, N), stacks the buffers of a group
@@ -20,6 +22,22 @@ order and hands each child spectrum back as a column slice.  Every
 kernel works column by column and charges one operation per value it
 returns, so stacking changes neither a bit of a result nor a count; it
 only replaces thousands of small calls by a few dozen wide ones.
+
+The leaf sizes and children fix the whole schedule of a (table, type,
+N) root before any kernel runs: the groups in forward order, each
+child's column slot in units of the root's columns, the backward order,
+and the last reader of each spectrum.  It is derived once, on first
+use, and cached; a call replays it with list indices.  A forward step
+that returns another number of buffers than its children raises
+RuntimeError, as does a table that lists a type after one that produces
+it at the same N.
+
+Buffers are handed over, not lent: run_levels takes its root buffer out
+of a one-element list, drops each buffer once its forward step has
+consumed it and each spectrum once its last reader has run.  A plain
+argument would not do: the caller may hold it until the call returns,
+as CPython before 3.11 always does and any wrapper that forwards *args
+does.
 
 A real DFT folds into one even-symmetric (cosine) and one odd-symmetric
 (sine) problem; a complex DFT runs one real DFT per component and then
@@ -40,12 +58,11 @@ Buffer conventions: every internal buffer is 2-D, rows by columns, one
 signal per column.  The entry points turn a 1-D signal into a free
 (n, 1) view and squeeze the result back.  Within a column:
   * real input: cell n holds s(n), n = 0..N-1.
-  * packed half spectrum: [Re(0), Re(1), Im(1), Re(2), Im(2), ..., Re(N/2)],
-    N real cells for the N/2+1 reported harmonics.
   * interleaved complex: cell 2n holds Re, cell 2n+1 holds Im.
 """
 
 from collections import namedtuple
+from functools import lru_cache
 
 import numpy as np
 
@@ -62,58 +79,100 @@ from .elaborations import (
 )
 
 # one entry of a step table; the module docstring gives the fields
-Step = namedtuple("Step", "leaf base forward backward")
+Step = namedtuple("Step", "leaf children base forward backward")
 
 
-def run_levels(steps, sig_type, N, x, table, counter):
-    """Spectrum of the sig_type buffer x at periodization N, run level by level.
+def run_levels(steps, sig_type, N, root, table, counter):
+    """Spectrum of a sig_type buffer at periodization N, run level by level.
 
-    x is handed over: each buffer is dropped as soon as its forward step
-    has consumed it, so a caller that passes x unnamed lets it go early.
+    root is a one-element list holding the buffer, which run_levels takes
+    out of it: the module docstring says why.
     """
-    pending = {(sig_type, N): [x]}  # group -> buffers, in column order
-    width = {}                      # group -> columns claimed so far
-    uses = {}                       # group -> parts whose spectra are unread
-    spectra = {}
-    done = []                       # (group, state, child slots), forward order
-    del x
+    forward, backward = _schedule(tuple(steps.items()), sig_type, N)
+    pending = [[] for _ in forward]  # group -> buffers, in column order
+    pending[0].append(root.pop())
+    cols = pending[0][0].shape[1]
+    spectra = [None] * len(forward)
+    states = [None] * len(forward)
+    for g, (step, n, kids) in enumerate(forward):
+        parts = pending[g]
+        pending[g] = None
+        x = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
+        parts = None
+        if kids is None:
+            spectra[g] = step.base(x, n, table, counter)
+            x = None
+            continue
+        bufs, states[g] = step.forward(x, n, table, counter)
+        x = None
+        if len(bufs) != len(kids):
+            raise RuntimeError(f"forward step at N={n} returned {len(bufs)} buffers "
+                               f"for {len(kids)} declared children")
+        for k, buf in zip(kids, bufs):
+            pending[k].append(buf)
+        bufs = buf = None
+    for g, step, n, slots, last_read in backward:
+        views = [spectra[k][:, c0 * cols:c1 * cols] for k, c0, c1 in slots]
+        for k in last_read:
+            spectra[k] = None
+        spectra[g] = step.backward(n, states[g], views, counter)
+        states[g] = None
+    return spectra[0]
+
+
+@lru_cache(maxsize=256)
+def _schedule(items, sig_type, N):
+    """Level schedule of a step table's (type, N) root, from the table alone.
+
+    items is the table as a tuple of (type, Step) pairs: it holds the
+    steps themselves, so a cached schedule is never served to another
+    table.  Groups are numbered in forward order, the root first.  The
+    result is
+
+      * forward: (step, N, child groups) per group, None for the
+        children of a leaf;
+      * backward: (group, step, N, slots, last_read) per split group in
+        backward order, where each slot (child group, c0, c1) is the
+        group's column range in the child's spectrum in units of the
+        root's columns, and last_read lists the children whose spectra
+        no later step reads.
+    """
+    claimed = {(sig_type, N): 1}  # pending group -> root columns claimed so far
+    index = {}                    # (type, N) -> group
+    groups = []                   # (step, N, child slots or None), forward order
     n = N
     while n:
-        for t, step in steps.items():
-            parts = pending.pop((t, n), None)
-            if parts is None:
+        for t, step in items:
+            width = claimed.pop((t, n), None)
+            if width is None:
                 continue
-            key = (t, n)
-            uses[key] = len(parts)
-            x = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
-            parts = None
+            index[(t, n)] = len(groups)
             if n <= step.leaf:
-                spectra[key] = step.base(x, n, table, counter)
-                x = None
+                groups.append((step, n, None))
                 continue
-            children, state = step.forward(x, n, table, counter)
-            x = None
             slots = []
-            for child_type, child_n, buf in children:
-                child = (child_type, child_n)
-                c0 = width.get(child, 0)
-                width[child] = c0 + buf.shape[1]
-                pending.setdefault(child, []).append(buf)
-                slots.append((child, c0, c0 + buf.shape[1]))
-            children = buf = None
-            done.append((key, state, slots))
+            for child_type, halvings in step.children:
+                child = (child_type, n >> halvings)
+                c0 = claimed.get(child, 0)
+                claimed[child] = c0 + width
+                slots.append((child, c0, c0 + width))
+            groups.append((step, n, slots))
         n //= 2
-    if pending:
-        raise RuntimeError(f"step table leaves {sorted(pending)} unscheduled")
-    for key, state, slots in reversed(done):
-        views = []
-        for child, c0, c1 in slots:
-            views.append(spectra[child][:, c0:c1])
-            uses[child] -= 1
-            if not uses[child]:
-                del spectra[child]
-        spectra[key] = steps[key[0]].backward(key[1], state, views, counter)
-    return spectra[(sig_type, N)]
+    if claimed:
+        raise RuntimeError(f"step table leaves {sorted(claimed)} unscheduled")
+    forward, backward, read = [], [], set()
+    for g, (step, n, slots) in enumerate(groups):
+        if slots is None:
+            forward.append((step, n, None))
+            continue
+        slots = tuple((index[child], c0, c1) for child, c0, c1 in slots)
+        kids = tuple(k for k, _, _ in slots)
+        # the first reader in forward order is the last one in backward order
+        last_read = tuple(k for k in dict.fromkeys(kids) if k not in read)
+        read.update(kids)
+        forward.append((step, n, kids))
+        backward.append((g, step, n, slots, last_read))
+    return tuple(forward), tuple(reversed(backward))
 
 
 # -- steps both tables use ----------------------------------------------------
@@ -134,44 +193,46 @@ def two_point_leaf(x, N, table, counter):
 def time_split(sig_type, leaf, base):
     """Step that splits time by parity: even child at N/2, odd child at N."""
     even_type, odd_type = TIME_SPLIT_CHILDREN[sig_type]
-    even_type = HALVE_TIME_CHILD[even_type]
+    children = ((HALVE_TIME_CHILD[even_type], 1), (odd_type, 0))
 
     def forward(x, N, table, counter):
-        even, odd = split_time_parity_forward(sig_type, N, x)
-        return ((even_type, N // 2, even), (odd_type, N, odd)), None
+        return split_time_parity_forward(sig_type, N, x), None
 
     def backward(N, state, spectra, counter):
         return split_time_parity_backward(sig_type, N, spectra[0], spectra[1], counter)
 
-    return Step(leaf, base, forward, backward)
+    return Step(leaf, children, base, forward, backward)
 
 
 def harmonic_split(sig_type, leaf, base):
     """Step that splits harmonics by parity: even child at N/2, odd child at N."""
     even_type, odd_type = HARMONIC_SPLIT_CHILDREN[sig_type]
-    even_type = HALVE_HARMONICS_CHILD[even_type]
+    children = ((HALVE_HARMONICS_CHILD[even_type], 1), (odd_type, 0))
 
     def forward(x, N, table, counter):
-        even, odd = split_harmonic_parity_forward(sig_type, N, x, counter)
-        return ((even_type, N // 2, even), (odd_type, N, odd)), None
+        return split_harmonic_parity_forward(sig_type, N, x, counter), None
 
     def backward(N, state, spectra, counter):
         return split_harmonic_parity_backward(sig_type, N, spectra[0], spectra[1])
 
-    return Step(leaf, base, forward, backward)
+    return Step(leaf, children, base, forward, backward)
 
 
 # -- real and complex drivers -------------------------------------------------
 
 def real_spectra(x, N, steps, table, counter):
     """Cosine spectrum S(0..N/2) and sine spectrum S(1..N/2-1) of real columns."""
-    m = N // 2
-    head, tail = x[1:m], x[N - 1:m:-1]
-    # each folded part goes to the scheduler unnamed, so it is freed as
-    # soon as the first forward step has consumed it
-    spec_c = run_levels(steps, "dc_tt", N, _even_part(x, head, tail, counter), table, counter)
-    spec_s = run_levels(steps, "ds_tt", N, csub(counter, head, tail), table, counter)
+    head, tail = _halves(x, N)
+    # the odd part is folded only once the cosine recursion is done
+    spec_c = run_levels(steps, "dc_tt", N, [_even_part(x, head, tail, counter)], table, counter)
+    spec_s = run_levels(steps, "ds_tt", N, [csub(counter, head, tail)], table, counter)
     return spec_c, spec_s
+
+
+def _halves(x, N):
+    """Samples 1..N/2-1 and their mirrors N-1..N/2+1."""
+    m = N // 2
+    return x[1:m], x[N - 1:m:-1]
 
 
 def _even_part(x, head, tail, counter):
@@ -184,42 +245,37 @@ def _even_part(x, head, tail, counter):
     return dc
 
 
-def rdft_packed(x, N, steps, table, counter):
-    """Packed half spectrum of real columns via one cosine and one sine transform."""
-    spec_c, spec_s = real_spectra(x, N, steps, table, counter)
-    m = N // 2
-    out = rows_like(x, N)
-    out[0] = spec_c[0]
-    out[N - 1] = spec_c[m]
-    out[1:N - 1:2] = spec_c[1:m]
-    np.negative(spec_s, out=out[2:N - 1:2])  # Im(k) = -sine spectrum; the sign flip is free
-    return out
+def cdft_interleaved(z, N, steps, table, counter):
+    """Interleaved complex spectrum of complex columns, from one stacked real DFT.
 
-
-def cdft_interleaved(x, N, steps, table, counter):
-    """Interleaved complex spectrum from one real DFT of both components.
-
-    The (2N, cols) interleaved buffer, reshaped to (N, 2 cols), holds the
-    real parts in its first cols columns and the imaginary parts in the
-    rest, so one stacked rdft_packed call transforms both.
+    The (2N, cols) interleaved buffer of z, reshaped to (N, 2 cols), holds
+    the real parts in its first cols columns and the imaginary parts in
+    the rest, so one stacked fold and one stacked pair of recursions
+    transform both.  The buffer is freed once folded, before either
+    recursion runs.
     """
-    cols = x.shape[1]
-    r = rdft_packed(x.reshape(N, 2 * cols), N, steps, table, counter)
-    r1, r2 = r[:, :cols], r[:, cols:]
-    out = rows_like(x, 2 * N)
-    # harmonics 0 and N/2 are real in each half-spectrum: plain copies
-    out[0] = r1[0]
-    out[1] = r2[0]
-    out[N] = r1[N - 1]
-    out[N + 1] = r2[N - 1]
-    a = r1[1:N - 1:2]  # Re of component-1 spectrum, k = 1..N/2-1
-    b = r1[2:N - 1:2]  # Im of component-1 spectrum
-    c = r2[1:N - 1:2]  # Re of component-2 spectrum
-    d = r2[2:N - 1:2]  # Im of component-2 spectrum
-    out[2:N - 1:2] = csub(counter, a, d)        # Re S(k)
-    out[2 * N - 2:N:-2] = cadd(counter, a, d)   # Re S(N-k)
-    out[3:N:2] = cadd(counter, b, c)            # Im S(k)
-    out[2 * N - 1:N + 1:-2] = csub(counter, c, b)  # Im S(N-k)
+    cols = z.shape[1]
+    x = interleave_complex(z, table.dtype).reshape(N, 2 * cols)
+    head, tail = _halves(x, N)
+    even, odd = [_even_part(x, head, tail, counter)], [csub(counter, head, tail)]
+    x = head = tail = None
+    spec_c = run_levels(steps, "dc_tt", N, even, table, counter)
+    spec_s = run_levels(steps, "ds_tt", N, odd, table, counter)
+    m = N // 2
+    c1, c2 = spec_c[:, :cols], spec_c[:, cols:]  # cosine spectra of Re and Im
+    s1, s2 = spec_s[:, :cols], spec_s[:, cols:]  # sine spectra of Re and Im
+    out = rows_like(c1, 2 * N)
+    # harmonics 0 and N/2 are real in each component's spectrum: plain copies
+    out[0] = c1[0]
+    out[1] = c2[0]
+    out[N] = c1[m]
+    out[N + 1] = c2[m]
+    # a component's half spectrum is C - i S, so for k = 1..N/2-1
+    # S(k) = C1 + S2 + i (C2 - S1) and S(N-k) = C1 - S2 + i (C2 + S1)
+    out[2:N - 1:2] = cadd(counter, c1[1:m], s2)
+    out[2 * N - 2:N:-2] = csub(counter, c1[1:m], s2)
+    out[3:N:2] = csub(counter, c2[1:m], s1)
+    out[2 * N - 1:N + 1:-2] = cadd(counter, c2[1:m], s1)
     return out
 
 
@@ -256,8 +312,7 @@ def complex_from_spectra(spec_c, spec_s):
 _default_tables = {}
 
 
-def _resolve(x, table, counter):
-    dtype = x.dtype
+def _resolve(dtype, table, counter):
     if table is None:
         table = _default_tables.get(dtype.name)
         if table is None:
@@ -325,29 +380,28 @@ def entry_points(module, steps):
         N = z.shape[0]
         if N < 2 or N & (N - 1):
             raise ValueError(f"periodization must be a power of two >= 2, got {N}")
-        buf = interleave_complex(_columns(z), dtype)
-        table, counter = _resolve(buf, table, counter)
-        out = cdft_interleaved(buf, N, steps, table, counter)
+        table, counter = _resolve(np.dtype(dtype), table, counter)
+        out = cdft_interleaved(_columns(z), N, steps, table, counter)
         return _shaped_like(complex_from_interleaved(out), z)
 
     def rdft(values, table=None, counter=None):
         """real-input DFT, reported for k = 0..N/2."""
         x, N = _prep_real(values, 2, "full")
-        table, counter = _resolve(x, table, counter)
+        table, counter = _resolve(x.dtype, table, counter)
         spec_c, spec_s = real_spectra(_columns(x), N, steps, table, counter)
         return _shaped_like(complex_from_spectra(spec_c, spec_s), x)
 
     def dct0(values, table=None, counter=None):
         """cosine transform; values are s(0)..s(N/2)."""
         x, N = _prep_real(values, 2, "dc")
-        table, counter = _resolve(x, table, counter)
-        return _shaped_like(run_levels(steps, "dc_tt", N, _columns(x), table, counter), x)
+        table, counter = _resolve(x.dtype, table, counter)
+        return _shaped_like(run_levels(steps, "dc_tt", N, [_columns(x)], table, counter), x)
 
     def dst0(values, table=None, counter=None):
         """sine transform; values are s(1)..s(N/2-1)."""
         x, N = _prep_real(values, 4, "ds")
-        table, counter = _resolve(x, table, counter)
-        return _shaped_like(run_levels(steps, "ds_tt", N, _columns(x), table, counter), x)
+        table, counter = _resolve(x.dtype, table, counter)
+        return _shaped_like(run_levels(steps, "ds_tt", N, [_columns(x)], table, counter), x)
 
     fns = (cdft, rdft, dct0, dst0)
     for fn in fns:

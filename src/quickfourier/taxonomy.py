@@ -13,6 +13,7 @@ two real cells each, which is why ln(cx_tt) is 2N and not N.
 """
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -109,6 +110,10 @@ def sto_k(sig_type, N):
     }[sig_type]
 
 
+# ln/lk are pure in (type, N), and tree building and its audit ask for the
+# same few sizes tens of thousands of times; the keys are bounded by the
+# twenty types times the powers of two
+@cache
 def ln(sig_type, N):
     """Real storage cells needed for the stored time samples."""
     check_type_n(sig_type, N)
@@ -137,6 +142,7 @@ def ln(sig_type, N):
     }[sig_type]
 
 
+@cache
 def lk(sig_type, N):
     """Real storage cells needed for the stored harmonics."""
     check_type_n(sig_type, N)

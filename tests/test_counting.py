@@ -118,3 +118,14 @@ def test_vector_lookup_logs_on_every_call():
     t.reset_log()
     t.half_secants(16, [1, 2, 3])  # served from cache, still logged
     assert t.touched_count() == 3
+
+
+def test_vector_lookup_by_range_or_list():
+    by_range, by_list = TrigTable(), TrigTable()
+    a = by_range.half_secants(64, range(1, 16, 2))
+    b = by_list.half_secants(64, list(range(1, 16, 2)))
+    assert np.array_equal(a, b)
+    assert not a.flags.writeable and not b.flags.writeable
+    assert by_range.touched == by_list.touched
+    assert by_range.half_secants(64, range(1, 16, 2)) is a
+    assert by_range.touched == by_list.touched
