@@ -9,20 +9,25 @@ grows slowly with depth.
 
 The recursion is the step table STEPS, which shared.run_levels runs
 level by level with same-(type, N) subproblems stacked as columns.  Each
-Step declares its leaf size and its children as (type, halvings of N),
-so the schedule of a root is derived from the table alone and cached;
-forward steps return only the children's buffers:
+Step declares its leaf size, its children and the transient signals it
+forms on the way (via), all as (type, halvings of N), so the schedule of
+a root is derived from the table alone and cached, and tree.build_tree
+draws the decomposition tree from it; forward steps return only the
+children's buffers:
 
-  type   leaf  forward -> children                  backward
-  dc_tt  N=2   harmonic split -> dc_tt(N/2),        interleave
-               dc_to(N)
-  dc_to  N=8   half-secant conversion to a          interleave, then
-               dc_t1t(N/2), harmonic split ->       neighbour sums
-               dc_tt(N/4), dc_to(N/2)
-  ds_tt  N=4   harmonic split -> ds_tt(N/2),        interleave
-               ds_to(N)
-  ds_to  N=4   half-secant conversion ->            neighbour sums, then
-               ds_tt(N/2)                           +- the centre sample
+  type    leaf  forward -> children; via             backward
+  dc_tt   N=2   harmonic split -> dc_tt(N/2),        interleave
+                dc_to(N); via dc_te(N)
+  dc_to   N=8   half-secant conversion to a          interleave, then
+                dc_t1t(N/2), harmonic split ->       neighbour sums
+                dc_tt(N/4), dc_to(N/2); via
+                dc_t1e(N), dc_t1t(N/2), dc_te(N/2)
+  ds_tt   N=4   harmonic split -> ds_tt(N/2),        interleave
+                ds_to(N); via ds_te(N)
+  ds_to   N=4   half-secant conversion ->            neighbour sums, then
+                ds_tt(N/2), centre sample s(N/4) ->  +- the centre sample
+                ds_e1o(N); via ds_t1o(N), ds_te(N)
+  ds_e1o  any   never splits: its one sample is its one harmonic
 
 All arithmetic flows through the counted helpers and every constant
 comes from the TrigTable, so operation counts and the constant footprint
@@ -30,6 +35,8 @@ are exact.  Buffers follow the stored-slot order of the taxonomy, one
 signal per column.  The public cdft/rdft/dct0/dst0 come from
 shared.entry_points, bound to this table.
 """
+
+import math
 
 from .counting import cadd, cmul, cmul_rows, csub, rows_like
 from .elaborations import (
@@ -59,10 +66,10 @@ def _dct_odd_forward(x, N, table, counter):
     conv[1:] = cmul_rows(counter, x[1:], table.half_secants(N, range(1, q)))
     # converted signal: its even harmonics at half periodization carry
     # everything needed; split it by harmonic parity
-    return split_harmonic_parity_forward("dc_t1t", N // 2, conv, counter), None
+    return split_harmonic_parity_forward("dc_t1t", N // 2, conv, counter)
 
 
-def _dct_odd_backward(N, state, spectra, counter):
+def _dct_odd_backward(N, spectra, counter):
     """Odd harmonics in slots (k-1)/2 from the converted signal's spectrum."""
     q = N // 4
     half_spec = split_harmonic_parity_backward("dc_t1t", N // 2, spectra[0], spectra[1])
@@ -71,25 +78,24 @@ def _dct_odd_backward(N, state, spectra, counter):
 
 
 def _dst_odd_forward(x, N, table, counter):
-    """ds_to buffer [s(1)..s(N/4)]: convert s(1)..s(N/4-1) onto ds_tt at N/2."""
+    """ds_to buffer [s(1)..s(N/4)]: convert s(1)..s(N/4-1) onto ds_tt at N/2
+    and split off the centre sample s(N/4) as a one-cell ds_e1o signal."""
     q = N // 4
-    # s(N/4) feeds every odd harmonic with alternating sign; a copy, so
-    # the input buffer can go as soon as this step has consumed it
-    center = x[q - 1].copy()
     conv = cmul_rows(counter, x[0:q - 1], table.half_secants(N, range(1, q)))
-    return (conv,), center
+    return conv, x[q - 1:q]
 
 
-def _dst_odd_backward(N, center, spectra, counter):
+def _dst_odd_backward(N, spectra, counter):
     """Odd harmonics in slots (k-1)/2 from the converted spectrum and s(N/4)."""
     q = N // 4
-    spec = spectra[0]
+    spec, center = spectra[0], spectra[1][0]
     partial = rows_like(spec, q)
     # neighbours at harmonics 0 and N/2 vanish for a sine spectrum, so the
     # first and last odd harmonics are free copies
     partial[0] = spec[0]
     partial[q - 1] = spec[q - 2]
     partial[1:q - 1] = cadd(counter, spec[0:q - 2], spec[1:q - 1])
+    # s(N/4) feeds every odd harmonic with alternating sign
     out = rows_like(spec, q)
     out[0::2] = cadd(counter, partial[0::2], center)
     out[1::2] = csub(counter, partial[1::2], center)
@@ -99,10 +105,13 @@ def _dst_odd_backward(N, center, spectra, counter):
 STEPS = {
     "dc_tt": harmonic_split("dc_tt", 2, two_point_leaf),
     "dc_to": Step(8, (("dc_tt", 2), ("dc_to", 1)),
+                  (("dc_t1e", 0), ("dc_t1t", 1), ("dc_te", 1)),
                   _dct_odd_leaf, _dct_odd_forward, _dct_odd_backward),
     "ds_tt": harmonic_split("ds_tt", 4, copy_leaf),
-    "ds_to": Step(4, (("ds_tt", 1),),  # S(1) = s(1) at N=4
-                  copy_leaf, _dst_odd_forward, _dst_odd_backward),
+    "ds_to": Step(4, (("ds_tt", 1), ("ds_e1o", 0)), (("ds_t1o", 0), ("ds_te", 0)),
+                  copy_leaf, _dst_odd_forward, _dst_odd_backward),  # S(1) = s(1) at N=4
+    # the centre sample s(N/4) is its own one odd harmonic at every N
+    "ds_e1o": Step(math.inf, (), (), copy_leaf, None, None),
 }
 
 cdft, rdft, dct0, dst0 = entry_points(__name__, STEPS)

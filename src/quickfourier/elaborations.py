@@ -13,17 +13,16 @@ Four reversible steps relate a signal to smaller ones:
   * even-time halving: a signal whose stored samples sit at even indices
     is reread at half the periodization (free, same buffer).
 
-Array kernels below work on buffers in stored-slot order, either one
-signal (rows,) or a batch (rows, signals).  For sine-kind signals the
-sum child is the odd-harmonic child; for cosine-kind signals it is the
-even-harmonic child.  The dc_t1t mother stores nothing at index N/2, so
+The two halvings need no kernel: HALVE_HARMONICS_CHILD and
+HALVE_TIME_CHILD name the type that the same buffer is reread as.  The
+array kernels of the two splits work on buffers in stored-slot order,
+either one signal (rows,) or a batch (rows, signals).  For sine-kind
+signals the sum child is the odd-harmonic child; for cosine-kind
+signals it is the even-harmonic child.  The dc_t1t mother stores nothing at index N/2, so
 its n = 0 pairing adds an explicit zero; those adds are still charged.
 """
 
-import numpy as np
-
 from .counting import cadd, csub, rows_like
-from .taxonomy import SignalView
 
 TIME_SPLIT_CHILDREN = {
     "dc_tt": ("dc_et", "dc_ot"),
@@ -147,38 +146,3 @@ def split_harmonic_parity_backward(sig_type, N, spec_even, spec_odd):
         out[1::2], out[0::2] = spec_even, spec_odd
         return out
     raise ValueError(f"harmonic-parity split undefined for {sig_type}")
-
-
-def halve_even_harmonics(sig_type, N):
-    """Reread an even-harmonic signal at half periodization; buffer unchanged."""
-    return HALVE_HARMONICS_CHILD[sig_type], N // 2
-
-
-def halve_even_times(sig_type, N):
-    """Reread an even-time signal at half periodization; buffer unchanged."""
-    return HALVE_TIME_CHILD[sig_type], N // 2
-
-
-# -- SignalView wrappers ----------------------------------------------------
-
-def split_time_parity(view):
-    even, odd = split_time_parity_forward(view.type, view.N, view.buffer)
-    et, ot = TIME_SPLIT_CHILDREN[view.type]
-    return SignalView(et, view.N, even), SignalView(ot, view.N, odd)
-
-
-def split_harmonic_parity(view, counter):
-    even, odd = split_harmonic_parity_forward(view.type, view.N, view.buffer, counter)
-    et, ot = HARMONIC_SPLIT_CHILDREN[view.type]
-    return SignalView(et, view.N, even), SignalView(ot, view.N, odd)
-
-
-def halve_view_harmonics(view):
-    child_type, half_n = halve_even_harmonics(view.type, view.N)
-    return SignalView(child_type, half_n, view.buffer)
-
-
-def halve_view_times(view):
-    child_type, half_n = halve_even_times(view.type, view.N)
-    # even-time halving keeps the values and reindexes n -> n/2
-    return SignalView(child_type, half_n, view.buffer)

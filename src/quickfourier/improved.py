@@ -10,21 +10,25 @@ eighth-turn constants.
 
 The recursion is the step table STEPS, which shared.run_levels runs
 level by level with same-(type, N) subproblems stacked as columns.  Each
-Step declares its leaf size and its children as (type, halvings of N),
-so the schedule of a root is derived from the table alone and cached;
-forward steps return only the children's buffers:
+Step declares its leaf size, its children and the transient signals it
+forms on the way (via), all as (type, halvings of N), so the schedule of
+a root is derived from the table alone and cached, and tree.build_tree
+draws the decomposition tree from it; forward steps return only the
+children's buffers:
 
-  type   leaf  forward -> children                  backward
-  dc_tt  N=2   time split -> dc_tt(N/2), dc_ot(N)   mirrored sums
-  dc_ot  N=4   harmonic split -> dc_ot(N/2),        interleave
-               dc_oo(N)
-  dc_oo  N=8   half-secant conversion ->            neighbour sums
-               dc_ot(N/2)
-  ds_tt  N=4   time split -> ds_tt(N/2), ds_ot(N)   mirrored sums
-  ds_ot  N=4   harmonic split -> ds_ot(N/2),        interleave
-               ds_oo(N)
-  ds_oo  N=8   half-secant conversion ->            neighbour sums
-               ds_ot(N/2)
+  type   leaf  forward -> children; via              backward
+  dc_tt  N=2   time split -> dc_tt(N/2), dc_ot(N);   mirrored sums
+               via dc_et(N)
+  dc_ot  N=4   harmonic split -> dc_ot(N/2),         interleave
+               dc_oo(N); via dc_oe(N)
+  dc_oo  N=8   half-secant conversion ->             neighbour sums
+               dc_ot(N/2); via dc_oe(N)
+  ds_tt  N=4   time split -> ds_tt(N/2), ds_ot(N);   mirrored sums
+               via ds_et(N)
+  ds_ot  N=4   harmonic split -> ds_ot(N/2),         interleave
+               ds_oo(N); via ds_oe(N)
+  ds_oo  N=8   half-secant conversion ->             neighbour sums
+               ds_ot(N/2); via ds_oe(N)
 
 The complex and real drivers and the public cdft/rdft/dct0/dst0 are
 shared with the classical variant: they come from shared.entry_points,
@@ -42,7 +46,7 @@ from .shared import Step, copy_leaf, entry_points, harmonic_split, time_split, t
 def _convert_odd_odd(x, N, table, counter):
     """Forward step of an odd-odd signal: the half-secant conversion onto
     an odd-time signal at N/2."""
-    return (cmul_rows(counter, x, table.half_secants(N, range(1, N // 4, 2))),), None
+    return (cmul_rows(counter, x, table.half_secants(N, range(1, N // 4, 2))),)
 
 
 def _dct_oo_leaf(x, N, table, counter):
@@ -52,7 +56,7 @@ def _dct_oo_leaf(x, N, table, counter):
     return out
 
 
-def _dct_oo_backward(N, state, spectra, counter):
+def _dct_oo_backward(N, spectra, counter):
     """Odd harmonics of a dc_oo signal in slots (k-1)/2 from the converted spectrum."""
     h = N // 8
     spec = spectra[0]
@@ -73,7 +77,7 @@ def _dst_oo_leaf(x, N, table, counter):
     return out
 
 
-def _dst_oo_backward(N, state, spectra, counter):
+def _dst_oo_backward(N, spectra, counter):
     """Odd harmonics of a ds_oo signal in slots (k-1)/2 from the converted spectrum."""
     h = N // 8
     spec = spectra[0]
@@ -88,10 +92,12 @@ def _dst_oo_backward(N, state, spectra, counter):
 STEPS = {
     "dc_tt": time_split("dc_tt", 2, two_point_leaf),
     "dc_ot": harmonic_split("dc_ot", 4, copy_leaf),  # S(0) = s(1) at N=4
-    "dc_oo": Step(8, (("dc_ot", 1),), _dct_oo_leaf, _convert_odd_odd, _dct_oo_backward),
+    "dc_oo": Step(8, (("dc_ot", 1),), (("dc_oe", 0),),
+                  _dct_oo_leaf, _convert_odd_odd, _dct_oo_backward),
     "ds_tt": time_split("ds_tt", 4, copy_leaf),
     "ds_ot": harmonic_split("ds_ot", 4, copy_leaf),  # S(1) = s(1) at N=4
-    "ds_oo": Step(8, (("ds_ot", 1),), _dst_oo_leaf, _convert_odd_odd, _dst_oo_backward),
+    "ds_oo": Step(8, (("ds_ot", 1),), (("ds_oe", 0),),
+                  _dst_oo_leaf, _convert_odd_odd, _dst_oo_backward),
 }
 
 cdft, rdft, dct0, dst0 = entry_points(__name__, STEPS)

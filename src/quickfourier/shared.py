@@ -6,11 +6,17 @@ signal type (dc_tt, dc_ot, ds_to, ...) to a Step.  A Step gives
   * leaf: the largest periodization N that its base case handles;
   * children: what a split makes of the signal, as (child type, number
     of halvings of N) pairs;
+  * via: the transient signals the split forms on the way, which its
+    own kernels consume, as (type, halvings of N) pairs;
   * base(x, N, table, counter): the spectrum of a leaf;
   * forward(x, N, table, counter): the children's buffers, in the order
-    of children, plus a state that the backward step needs (or None);
-  * backward(N, state, spectra, counter): the spectrum, from the
-    children's spectra in the order of children.
+    of children;
+  * backward(N, spectra, counter): the spectrum, from the children's
+    spectra in the order of children.
+
+The table is the one description of each recursion: run_levels runs
+it, and tree.build_tree reads its children and via fields to draw the
+decomposition tree.
 
 run_levels runs a table level by level rather than depth first.  It
 groups pending subproblems by (type, N), stacks the buffers of a group
@@ -79,7 +85,7 @@ from .elaborations import (
 )
 
 # one entry of a step table; the module docstring gives the fields
-Step = namedtuple("Step", "leaf children base forward backward")
+Step = namedtuple("Step", "leaf children via base forward backward")
 
 
 def run_levels(steps, sig_type, N, root, table, counter):
@@ -93,7 +99,6 @@ def run_levels(steps, sig_type, N, root, table, counter):
     pending[0].append(root.pop())
     cols = pending[0][0].shape[1]
     spectra = [None] * len(forward)
-    states = [None] * len(forward)
     for g, (step, n, kids) in enumerate(forward):
         parts = pending[g]
         pending[g] = None
@@ -103,7 +108,7 @@ def run_levels(steps, sig_type, N, root, table, counter):
             spectra[g] = step.base(x, n, table, counter)
             x = None
             continue
-        bufs, states[g] = step.forward(x, n, table, counter)
+        bufs = step.forward(x, n, table, counter)
         x = None
         if len(bufs) != len(kids):
             raise RuntimeError(f"forward step at N={n} returned {len(bufs)} buffers "
@@ -115,8 +120,7 @@ def run_levels(steps, sig_type, N, root, table, counter):
         views = [spectra[k][:, c0 * cols:c1 * cols] for k, c0, c1 in slots]
         for k in last_read:
             spectra[k] = None
-        spectra[g] = step.backward(n, states[g], views, counter)
-        states[g] = None
+        spectra[g] = step.backward(n, views, counter)
     return spectra[0]
 
 
@@ -191,31 +195,37 @@ def two_point_leaf(x, N, table, counter):
 
 
 def time_split(sig_type, leaf, base):
-    """Step that splits time by parity: even child at N/2, odd child at N."""
+    """Step that splits time by parity: even child at N/2, odd child at N.
+
+    The even child is formed at N and reread at N/2: its one transient.
+    """
     even_type, odd_type = TIME_SPLIT_CHILDREN[sig_type]
     children = ((HALVE_TIME_CHILD[even_type], 1), (odd_type, 0))
 
     def forward(x, N, table, counter):
-        return split_time_parity_forward(sig_type, N, x), None
+        return split_time_parity_forward(sig_type, N, x)
 
-    def backward(N, state, spectra, counter):
+    def backward(N, spectra, counter):
         return split_time_parity_backward(sig_type, N, spectra[0], spectra[1], counter)
 
-    return Step(leaf, children, base, forward, backward)
+    return Step(leaf, children, ((even_type, 0),), base, forward, backward)
 
 
 def harmonic_split(sig_type, leaf, base):
-    """Step that splits harmonics by parity: even child at N/2, odd child at N."""
+    """Step that splits harmonics by parity: even child at N/2, odd child at N.
+
+    The even child is formed at N and reread at N/2: its one transient.
+    """
     even_type, odd_type = HARMONIC_SPLIT_CHILDREN[sig_type]
     children = ((HALVE_HARMONICS_CHILD[even_type], 1), (odd_type, 0))
 
     def forward(x, N, table, counter):
-        return split_harmonic_parity_forward(sig_type, N, x, counter), None
+        return split_harmonic_parity_forward(sig_type, N, x, counter)
 
-    def backward(N, state, spectra, counter):
+    def backward(N, spectra, counter):
         return split_harmonic_parity_backward(sig_type, N, spectra[0], spectra[1])
 
-    return Step(leaf, children, base, forward, backward)
+    return Step(leaf, children, ((even_type, 0),), base, forward, backward)
 
 
 # -- real and complex drivers -------------------------------------------------

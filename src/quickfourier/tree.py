@@ -1,11 +1,17 @@
 """Decomposition trees for both transform recursions.
 
 Each tree node is a signal from the taxonomy at some periodization.
-Expanding a node applies the decomposition its algorithm uses at that
-size: the node's *children* are the signals the recursion continues
-into, and its *intermediates* are the transient signals formed along
-the way (parity-split halves before relabelling, secant-converted
-buffers) that the next step consumes immediately.
+The tree is derived from the algorithm's step table (classical.STEPS or
+improved.STEPS), the same table that runs the transform, so it cannot
+drift from the code.  A node splits when its N exceeds its step's leaf
+size: its *children* are the step's children, the signals the recursion
+continues into, and its *intermediates* are the step's via signals, the
+transient signals formed along the way (parity-split halves before
+relabelling, secant-converted buffers) that the step consumes itself.
+A step with a single child only converts: the tree shows that child as
+an intermediate too, and the node goes on into the child's children and
+intermediates.  Above the tables, a complex root splits into two real
+ones and a real root into a cosine and a sine one (N >= 4).
 
 Storage audit: for every expanded node the children's stored-cell
 totals (time and harmonic) are compared with the mother's.  The
@@ -22,6 +28,7 @@ decomposition recurses into.
 
 from dataclasses import dataclass, field
 
+from . import classical, improved
 from .taxonomy import storage_sizes
 
 
@@ -56,69 +63,39 @@ class TreeNode:
 
 _ROOT_TYPE = {"cdft": "cx_tt", "rdft": "re_tt", "dct0": "dc_tt", "dst0": "ds_tt"}
 
+# the drivers around the step tables: a complex transform runs one real
+# transform per component, a real one folds into a cosine and a sine part
+_DRIVERS = {"cx_tt": ("re_tt", "re_tt"), "re_tt": ("dc_tt", "ds_tt")}
 
-def _expand(node, algorithm):
-    """Attach children and intermediates per the algorithm's recursion."""
+_ALGORITHMS = {"classical": classical, "improved": improved}
+
+
+def _expand(node, steps):
+    """Attach children and intermediates, read from the step table."""
     t, N = node.sig_type, node.N
-
-    def out(sig, n):
-        return TreeNode(sig, n, "output")
-
-    def mid(sig, n):
-        return TreeNode(sig, n, "intermediate")
-
-    if t == "cx_tt" and N >= 4:
-        # one real transform over the real parts, one over the imaginary
-        node.children = [out("re_tt", N), out("re_tt", N)]
-    elif t == "re_tt" and N >= 4:
-        # fold into a cosine and a sine component
-        node.children = [out("dc_tt", N), out("ds_tt", N)]
-    elif t == "dc_tt" and N >= 4:
-        if algorithm == "classical":
-            # harmonic-parity split; the even half lives on the halved grid
-            node.children = [out("dc_tt", N // 2), out("dc_to", N)]
-            node.intermediates = [mid("dc_te", N)]
-        else:
-            # time-parity split; the even half lives on the halved grid
-            node.children = [out("dc_tt", N // 2), out("dc_ot", N)]
-            node.intermediates = [mid("dc_et", N)]
-    elif t == "ds_tt" and N >= 8:
-        if algorithm == "classical":
-            node.children = [out("ds_tt", N // 2), out("ds_to", N)]
-            node.intermediates = [mid("ds_te", N)]
-        else:
-            node.children = [out("ds_tt", N // 2), out("ds_ot", N)]
-            node.intermediates = [mid("ds_et", N)]
-    elif t == "dc_to" and N >= 16:
-        # classical odd harmonics: secant conversion widens into the t1
-        # family, whose split then recurses on even and odd harmonics
-        node.children = [out("dc_tt", N // 4), out("dc_to", N // 2)]
-        node.intermediates = [mid("dc_t1e", N), mid("dc_t1t", N // 2),
-                              mid("dc_te", N // 2)]
-    elif t == "ds_to" and N >= 8:
-        # classical odd sine harmonics: the centre sample splits off as a
-        # one-cell signal and the rest converts onto the halved grid
-        node.children = [out("ds_tt", N // 2), out("ds_e1o", N)]
-        node.intermediates = [mid("ds_t1o", N), mid("ds_te", N)]
-    elif t == "dc_ot" and N >= 8:
-        node.children = [out("dc_ot", N // 2), out("dc_oo", N)]
-        node.intermediates = [mid("dc_oe", N)]
-    elif t == "ds_ot" and N >= 8:
-        node.children = [out("ds_ot", N // 2), out("ds_oo", N)]
-        node.intermediates = [mid("ds_oe", N)]
-    elif t == "dc_oo" and N >= 16:
-        # improved odd-odd: conversion lands on a same-size even-harmonic
-        # signal, which halves and splits again before the recursion
-        node.children = [out("dc_ot", N // 4), out("dc_oo", N // 2)]
-        node.intermediates = [mid("dc_oe", N), mid("dc_ot", N // 2),
-                              mid("dc_oe", N // 2)]
-    elif t == "ds_oo" and N >= 16:
-        node.children = [out("ds_ot", N // 4), out("ds_oo", N // 2)]
-        node.intermediates = [mid("ds_oe", N), mid("ds_ot", N // 2),
-                              mid("ds_oe", N // 2)]
-    # anything else is a recursion base: a leaf
+    if t in _DRIVERS:
+        if N >= 4:
+            node.children = [TreeNode(c, N) for c in _DRIVERS[t]]
+    elif N > steps[t].leaf:
+        node.children, node.intermediates = _split(steps, t, N)
     for child in node.children:
-        _expand(child, algorithm)
+        _expand(child, steps)
+
+
+def _split(steps, t, N):
+    """(children, intermediates) of a (t, N) signal's step.
+
+    A step with one child only converts: that child is shown as an
+    intermediate and the split goes on into the child's own step.
+    """
+    step = steps[t]
+    mids = [TreeNode(v, N >> h, "intermediate") for v, h in step.via]
+    kids = [TreeNode(c, N >> h) for c, h in step.children]
+    if len(kids) == 1:
+        kids[0].role = "intermediate"
+        children, more = _split(steps, kids[0].sig_type, kids[0].N)
+        return children, mids + kids + more
+    return kids, mids
 
 
 def build_tree(algorithm, transform, N):
@@ -132,7 +109,7 @@ def build_tree(algorithm, transform, N):
     if transform == "dst0" and N < 4:
         raise ValueError("the sine transform needs a periodization >= 4")
     root = TreeNode(_ROOT_TYPE[transform], N, "output")
-    _expand(root, algorithm)
+    _expand(root, _ALGORITHMS[algorithm].STEPS)
     _assign_labels(root)
     return root
 

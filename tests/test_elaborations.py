@@ -9,11 +9,8 @@ from quickfourier.elaborations import (
     HALVE_TIME_CHILD,
     HARMONIC_SPLIT_CHILDREN,
     TIME_SPLIT_CHILDREN,
-    halve_view_harmonics,
-    halve_view_times,
-    split_harmonic_parity,
     split_harmonic_parity_backward,
-    split_time_parity,
+    split_harmonic_parity_forward,
     split_time_parity_backward,
     split_time_parity_forward,
 )
@@ -26,6 +23,21 @@ TOL = 1e-12
 def random_view(sig_type, N, seed):
     rng = np.random.default_rng(seed)
     return SignalView(sig_type, N, rng.uniform(-1.0, 1.0, len(sto_n(sig_type, N))))
+
+
+def child_views(children, mother, buffers):
+    """A split's child buffers as views of the types its table names."""
+    return [SignalView(t, mother.N, buf) for t, buf in zip(children[mother.type], buffers)]
+
+
+def harmonic_split(mother, counter):
+    buffers = split_harmonic_parity_forward(mother.type, mother.N, mother.buffer, counter)
+    return child_views(HARMONIC_SPLIT_CHILDREN, mother, buffers)
+
+
+def time_split(mother):
+    buffers = split_time_parity_forward(mother.type, mother.N, mother.buffer)
+    return child_views(TIME_SPLIT_CHILDREN, mother, buffers)
 
 
 def test_dispatch_tables():
@@ -61,7 +73,7 @@ HARMONIC_CASES = [
 def test_harmonic_split_roundtrip_and_charge(sig_type, N, want_adds):
     mother = random_view(sig_type, N, seed=N + len(sig_type))
     counter = OpCounter()
-    even, odd = split_harmonic_parity(mother, counter)
+    even, odd = harmonic_split(mother, counter)
     assert counter.adds == want_adds
     assert counter.muls == 0
     combined = split_harmonic_parity_backward(
@@ -79,7 +91,7 @@ TIME_CASES = [
 @pytest.mark.parametrize("sig_type,N,want_adds", TIME_CASES)
 def test_time_split_roundtrip_and_charge(sig_type, N, want_adds):
     mother = random_view(sig_type, N, seed=3 * N + len(sig_type))
-    even, odd = split_time_parity(mother)  # forward is pure routing
+    even, odd = time_split(mother)  # forward is pure routing
     counter = OpCounter()
     combined = split_time_parity_backward(
         sig_type, N, pruned_naive(even), pruned_naive(odd), counter)
@@ -90,7 +102,7 @@ def test_time_split_roundtrip_and_charge(sig_type, N, want_adds):
 
 def test_t1t_time_split_pads_missing_top_sample():
     mother = SignalView("dc_t1t", 8, [1.0, 2.0, 3.0, 4.0])
-    even, odd = split_time_parity(mother)
+    even, odd = time_split(mother)
     assert even.type == "dc_et" and odd.type == "dc_ot"
     assert np.all(even.buffer == [1.0, 3.0, 0.0])
     assert np.all(odd.buffer == [2.0, 4.0])
@@ -99,7 +111,7 @@ def test_t1t_time_split_pads_missing_top_sample():
 def test_t1t_harmonic_split_charges_the_zero_pair():
     mother = SignalView("dc_t1t", 8, [1.0, 2.0, 3.0, 4.0])
     counter = OpCounter()
-    even, odd = split_harmonic_parity(mother, counter)
+    even, odd = harmonic_split(mother, counter)
     # pairs: (0, missing zero) and (1, 3); index 2 is the free middle copy
     assert counter.adds == 4
     assert np.all(even.buffer == [1.0, 6.0, 3.0])
@@ -112,7 +124,7 @@ def test_t1t_harmonic_split_charges_the_zero_pair():
 ])
 def test_halve_even_harmonics_preserves_spectrum(sig_type, N):
     view = random_view(sig_type, N, seed=N)
-    child = halve_view_harmonics(view)
+    child = SignalView(HALVE_HARMONICS_CHILD[sig_type], N // 2, view.buffer)
     assert child.N == N // 2
     assert child.buffer is view.buffer
     assert np.allclose(pruned_naive(child), pruned_naive(view), atol=TOL)
@@ -121,7 +133,8 @@ def test_halve_even_harmonics_preserves_spectrum(sig_type, N):
 @pytest.mark.parametrize("sig_type,N", [("dc_et", 16), ("ds_et", 16), ("dc_et", 64), ("ds_et", 64)])
 def test_halve_even_times_preserves_spectrum(sig_type, N):
     view = random_view(sig_type, N, seed=N + 1)
-    child = halve_view_times(view)
+    # even-time halving keeps the values and reindexes n -> n/2
+    child = SignalView(HALVE_TIME_CHILD[sig_type], N // 2, view.buffer)
     assert child.N == N // 2
     assert np.allclose(pruned_naive(child), pruned_naive(view), atol=TOL)
 
@@ -130,7 +143,6 @@ def test_batched_kernels_match_per_signal():
     rng = np.random.default_rng(11)
     X = rng.uniform(-1.0, 1.0, (9, 3))  # dc_tt at N=16, three signals
     counter = OpCounter()
-    from quickfourier.elaborations import split_harmonic_parity_forward
     even_b, odd_b = split_harmonic_parity_forward("dc_tt", 16, X, counter)
     assert counter.adds == 3 * 8
     for j in range(3):

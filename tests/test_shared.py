@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from quickfourier import classical, improved, shared
+from quickfourier import classical, improved, shared, tree
 from quickfourier.counting import OpCounter, TrigTable
 from quickfourier.shared import Step, run_levels
 
@@ -108,11 +108,17 @@ def logged(t, step, calls):
         calls.append(("forward", t, N))
         return step.forward(x, N, table, counter)
 
-    def backward(N, state, spectra, counter):
+    def backward(N, spectra, counter):
         calls.append(("backward", t, N))
-        return step.backward(N, state, spectra, counter)
+        return step.backward(N, spectra, counter)
 
     return step._replace(base=base, forward=forward, backward=backward)
+
+
+# one forward and one backward per (type, N) of a dc_tt root at N=4096:
+# 2 x 12 levels x 4 and 6 split types; the leaf-only ds_e1o type never
+# appears under a dc_tt root, so it must not loosen the bound
+MAX_CALLS = {"classical": 96, "improved": 144}
 
 
 def test_each_type_and_size_runs_once():
@@ -120,13 +126,36 @@ def test_each_type_and_size_runs_once():
     # backward call, however many subproblems it stacks
     calls = []
     x = np.random.default_rng(3).uniform(-0.5, 0.5, (2049, 2))
-    for module in MODULES.values():
+    for name, module in MODULES.items():
         calls.clear()
         steps = {t: logged(t, step, calls) for t, step in module.STEPS.items()}
         got = run_levels(steps, "dc_tt", 4096, [x], TrigTable(), OpCounter())
         assert np.array_equal(got, module.dct0(x))
         assert len(calls) == len(set(calls))
-        assert len(calls) <= 2 * len(module.STEPS) * 12
+        assert len(calls) <= MAX_CALLS[name]
+
+
+@pytest.mark.parametrize("root,transform", [("dc_tt", "dct0"), ("ds_tt", "dst0")])
+@pytest.mark.parametrize("algorithm", sorted(MODULES))
+def test_schedule_runs_the_tree(algorithm, root, transform):
+    # the tree is derived from the step table, not from a run: every
+    # (type, N) the scheduler splits or solves must be an output node, or
+    # the child of a one-child (converting) step, and every output node
+    # must run
+    steps = MODULES[algorithm].STEPS
+    for lg in range(2, 13):
+        N = 1 << lg
+        calls = []
+        logged_steps = {t: logged(t, step, calls) for t, step in steps.items()}
+        x = np.zeros((stored_length(transform, N), 1))
+        run_levels(logged_steps, root, N, [x], TrigTable(), OpCounter())
+        ran = {(t, n) for kind, t, n in calls if kind != "backward"}
+        outputs = {(node.sig_type, node.N)
+                   for node in tree.iter_nodes(tree.build_tree(algorithm, transform, N))}
+        converted = {(c, n >> h) for t, n in outputs if n > steps[t].leaf
+                     and len(steps[t].children) == 1 for c, h in steps[t].children}
+        assert outputs <= ran
+        assert ran <= outputs | converted
 
 
 def test_rebuilt_table_runs_its_own_steps():
@@ -148,7 +177,7 @@ def leaf_step(x, N, table, counter):
     return x
 
 
-def first_spectrum(N, state, spectra, counter):
+def first_spectrum(N, spectra, counter):
     return spectra[0]
 
 
@@ -156,11 +185,11 @@ def test_misordered_table_is_rejected():
     # "b" produces "a" at the same N but comes after it: "a" would be
     # scheduled after its level had already run
     def split(x, N, table, counter):
-        return (x,), None
+        return (x,)
 
     steps = {
-        "a": Step(1, (), leaf_step, None, None),
-        "b": Step(1, (("a", 0),), None, split, first_spectrum),
+        "a": Step(1, (), (), leaf_step, None, None),
+        "b": Step(1, (("a", 0),), (), None, split, first_spectrum),
     }
     with pytest.raises(RuntimeError, match="unscheduled"):
         run_levels(steps, "b", 4, [np.zeros((3, 1))], TrigTable(), OpCounter())
@@ -171,11 +200,11 @@ def test_forward_returns_its_declared_children(returned):
     # zip would silently drop a surplus buffer, and a missing one would
     # surface as an unrelated error at the child's level
     def split(x, N, table, counter):
-        return (x,) * returned, None
+        return (x,) * returned
 
     steps = {
-        "b": Step(2, (("a", 1),), None, split, first_spectrum),
-        "a": Step(2, (), leaf_step, None, None),
+        "b": Step(2, (("a", 1),), (), None, split, first_spectrum),
+        "a": Step(2, (), (), leaf_step, None, None),
     }
     with pytest.raises(RuntimeError, match="declared"):
         run_levels(steps, "b", 4, [np.zeros((3, 1))], TrigTable(), OpCounter())

@@ -1,8 +1,10 @@
 """Decomposition trees: structure, numbering, storage conservation."""
 
+import hashlib
+
 import pytest
 
-from quickfourier import tree
+from quickfourier import classical, improved, tree
 from quickfourier.taxonomy import MIN_N, SIGNAL_TYPES, storage_sizes
 
 
@@ -146,3 +148,42 @@ def test_validation():
         tree.build_tree("improved", "cdft", 12)
     with pytest.raises(ValueError):
         tree.build_tree("improved", "dst0", 2)
+
+
+# sha256 of every dump for N = 2..2048 (dst0 from 4), joined by blank lines
+RENDER_SHA256 = {
+    ("classical", "cdft"): "e03c5a4fbf07148919f7aa19d9eea4063ee11b411afe1b54ba76c60174560545",
+    ("classical", "rdft"): "33a87fe23b178284cb46b8fb86599cf06e6a95c23a846b0e71089ea62c808977",
+    ("classical", "dct0"): "2d04a774973cf5b4f464fa57fa5302d3b895d33bb91fdd706d6ac300a3544af3",
+    ("classical", "dst0"): "04f8fd90bed696d2af91941b62a7c6d2bc9bd2369b5f0eedece55540d6d06733",
+    ("improved", "cdft"): "4b721c5ddf37eec5ff491cf1870dca69490cf3712a89608d8bc22878092c63d5",
+    ("improved", "rdft"): "5b51e7dde8ebb48f5b22122e87adee95cd02cf7524179ae35d7be26b92899b71",
+    ("improved", "dct0"): "2d30ed3ab6574daa91c7717f70ecdf31d12bdac73c53ebf1cb2d373206e7b164",
+    ("improved", "dst0"): "53075287ef921799028188b1683f01dc7aa6b95f17b32274890b2f5cb885cfe9",
+}
+
+
+@pytest.mark.parametrize("algorithm,transform", sorted(RENDER_SHA256))
+def test_render_tree_is_pinned(algorithm, transform):
+    dumps = []
+    N = 4 if transform == "dst0" else 2
+    while N <= 2048:
+        dumps.append(tree.render_tree(tree.build_tree(algorithm, transform, N),
+                                      algorithm, transform))
+        N *= 2
+    digest = hashlib.sha256("\n\n".join(dumps).encode()).hexdigest()
+    assert digest == RENDER_SHA256[(algorithm, transform)]
+
+
+@pytest.mark.parametrize("algorithm", ["classical", "improved"])
+def test_tree_reads_the_live_step_table(algorithm, monkeypatch):
+    # put in a step with another via: the tree must draw it
+    module = {"classical": classical, "improved": improved}[algorithm]
+    before = tree.build_tree(algorithm, "dct0", 16)
+    assert [(m.sig_type, m.N) for m in before.intermediates] != [("dc_tt", 16)]
+    step = module.STEPS["dc_tt"]._replace(via=(("dc_tt", 0),))
+    monkeypatch.setitem(module.STEPS, "dc_tt", step)
+    after = tree.build_tree(algorithm, "dct0", 16)
+    assert [(m.sig_type, m.N) for m in after.intermediates] == [("dc_tt", 16)]
+    assert [(c.sig_type, c.N) for c in after.children] == [
+        (c.sig_type, c.N) for c in before.children]
