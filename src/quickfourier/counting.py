@@ -40,20 +40,20 @@ class OpCounter:
 def cadd(counter, x, y):
     """Counted elementwise addition; one real add per output value."""
     r = x + y
-    counter.adds += np.size(r)
+    counter.adds += r.size
     return r
 
 
 def csub(counter, x, y):
     r = x - y
-    counter.adds += np.size(r)
+    counter.adds += r.size
     return r
 
 
 def cmul(counter, x, y):
     """Counted elementwise multiplication; one real multiply per output value."""
     r = x * y
-    counter.muls += np.size(r)
+    counter.muls += r.size
     return r
 
 
@@ -68,16 +68,9 @@ def rows_like(x, n):
 
 
 def cmul_rows(counter, x, w):
-    """Counted multiply of each row of x by its own constant w[i].
-
-    Works for x of shape (rows,) and for batched x of shape (rows, signals),
-    counting rows * signals multiplies in the batched case.
-    """
-    w = np.asarray(w)
-    if x.ndim > w.ndim:
-        w = w.reshape(w.shape + (1,) * (x.ndim - w.ndim))
-    r = x * w
-    counter.muls += np.size(r)
+    """Counted multiply of each row of x (rows, signals) by its own constant w[i]."""
+    r = x * w[:, None]
+    counter.muls += r.size
     return r
 
 

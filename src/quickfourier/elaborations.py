@@ -27,7 +27,6 @@ from .counting import cadd, csub, rows_like
 TIME_SPLIT_CHILDREN = {
     "dc_tt": ("dc_et", "dc_ot"),
     "ds_tt": ("ds_et", "ds_ot"),
-    "dc_t1t": ("dc_et", "dc_ot"),
 }
 
 HARMONIC_SPLIT_CHILDREN = {
@@ -59,11 +58,6 @@ def split_time_parity_forward(sig_type, N, x):
     if sig_type == "ds_tt":
         # slots are n-1, so even indices live in the odd slots
         return x[1::2], x[0::2]
-    if sig_type == "dc_t1t":
-        even = rows_like(x, N // 4 + 1)
-        even[:-1] = x[0::2]
-        even[-1] = 0.0  # index N/2 is not stored by the mother
-        return even, x[1::2]
     raise ValueError(f"time-parity split undefined for {sig_type}")
 
 
@@ -74,7 +68,7 @@ def split_time_parity_backward(sig_type, N, spec_even, spec_odd, counter):
     N/4 is a free copy from the child whose spectrum reaches it.
     """
     q = N // 4
-    if sig_type in ("dc_tt", "dc_t1t"):
+    if sig_type == "dc_tt":
         out = rows_like(spec_even, N // 2 + 1)
         out[0:q] = cadd(counter, spec_even[0:q], spec_odd)
         out[N // 2:q:-1] = csub(counter, spec_even[0:q], spec_odd)

@@ -60,11 +60,11 @@ float32 input, float64 otherwise.  Any other number of dimensions,
 complex samples for a real transform, or a stored length that does not
 give a power-of-two periodization raises ValueError.
 
-Buffer conventions: every internal buffer is 2-D, rows by columns, one
-signal per column.  The entry points turn a 1-D signal into a free
-(n, 1) view and squeeze the result back.  Within a column:
-  * real input: cell n holds s(n), n = 0..N-1.
-  * interleaved complex: cell 2n holds Re, cell 2n+1 holds Im.
+Buffer convention: every internal buffer is 2-D and real, rows by
+columns, one signal per column, and cell n of a column holds s(n).  The
+entry points turn a 1-D signal into a free (n, 1) view and squeeze the
+result back; cdft puts the real parts of its cols columns and their
+imaginary parts side by side, as 2 cols real columns.
 """
 
 from collections import namedtuple
@@ -230,83 +230,54 @@ def harmonic_split(sig_type, leaf, base):
 
 # -- real and complex drivers -------------------------------------------------
 
-def real_spectra(x, N, steps, table, counter):
-    """Cosine spectrum S(0..N/2) and sine spectrum S(1..N/2-1) of real columns."""
-    head, tail = _halves(x, N)
-    # the odd part is folded only once the cosine recursion is done
-    spec_c = run_levels(steps, "dc_tt", N, [_even_part(x, head, tail, counter)], table, counter)
-    spec_s = run_levels(steps, "ds_tt", N, [csub(counter, head, tail)], table, counter)
-    return spec_c, spec_s
+def real_spectra(columns, N, steps, table, counter):
+    """Cosine spectrum S(0..N/2) and sine spectrum S(1..N/2-1) of real columns.
 
-
-def _halves(x, N):
-    """Samples 1..N/2-1 and their mirrors N-1..N/2+1."""
-    m = N // 2
-    return x[1:m], x[N - 1:m:-1]
-
-
-def _even_part(x, head, tail, counter):
-    """dc_tt buffer [s(0), s(1)+s(N-1), .., s(N/2)] of the even-symmetric part."""
-    m = head.shape[0] + 1
-    dc = rows_like(x, m + 1)
-    dc[0] = x[0]
-    dc[m] = x[m]
-    dc[1:m] = cadd(counter, head, tail)
-    return dc
-
-
-def cdft_interleaved(z, N, steps, table, counter):
-    """Interleaved complex spectrum of complex columns, from one stacked real DFT.
-
-    The (2N, cols) interleaved buffer of z, reshaped to (N, 2 cols), holds
-    the real parts in its first cols columns and the imaginary parts in
-    the rest, so one stacked fold and one stacked pair of recursions
-    transform both.  The buffer is freed once folded, before either
-    recursion runs.
+    columns is a one-element list holding the (N, cols) buffer, which is
+    taken out of it and dropped once folded, before either recursion runs.
     """
-    cols = z.shape[1]
-    x = interleave_complex(z, table.dtype).reshape(N, 2 * cols)
-    head, tail = _halves(x, N)
-    even, odd = [_even_part(x, head, tail, counter)], [csub(counter, head, tail)]
+    x = columns.pop()
+    m = N // 2
+    head, tail = x[1:m], x[N - 1:m:-1]  # samples 1..N/2-1 and their mirrors
+    even = rows_like(x, m + 1)  # dc_tt [s(0), s(1)+s(N-1), .., s(N/2)]
+    even[0] = x[0]
+    even[m] = x[m]
+    even[1:m] = cadd(counter, head, tail)
+    even, odd = [even], [csub(counter, head, tail)]
     x = head = tail = None
     spec_c = run_levels(steps, "dc_tt", N, even, table, counter)
     spec_s = run_levels(steps, "ds_tt", N, odd, table, counter)
+    return spec_c, spec_s
+
+
+def complex_spectrum(z, N, steps, table, counter):
+    """Spectrum of complex columns, from one real DFT of their Re|Im columns.
+
+    cx_tt -> re_tt, re_tt: the real parts sit in the first cols columns
+    and the imaginary parts in the rest, so one stacked fold and one
+    stacked pair of recursions transform both.
+    """
+    cols = z.shape[1]
+    spec_c, spec_s = real_spectra([np.concatenate((z.real, z.imag), axis=1)],
+                                  N, steps, table, counter)
     m = N // 2
     c1, c2 = spec_c[:, :cols], spec_c[:, cols:]  # cosine spectra of Re and Im
     s1, s2 = spec_s[:, :cols], spec_s[:, cols:]  # sine spectra of Re and Im
-    out = rows_like(c1, 2 * N)
+    out = np.empty(z.shape, z.dtype)
+    re, im = out.real, out.imag
     # harmonics 0 and N/2 are real in each component's spectrum: plain copies
-    out[0] = c1[0]
-    out[1] = c2[0]
-    out[N] = c1[m]
-    out[N + 1] = c2[m]
+    re[0], im[0] = c1[0], c2[0]
+    re[m], im[m] = c1[m], c2[m]
     # a component's half spectrum is C - i S, so for k = 1..N/2-1
     # S(k) = C1 + S2 + i (C2 - S1) and S(N-k) = C1 - S2 + i (C2 + S1)
-    out[2:N - 1:2] = cadd(counter, c1[1:m], s2)
-    out[2 * N - 2:N:-2] = csub(counter, c1[1:m], s2)
-    out[3:N:2] = csub(counter, c2[1:m], s1)
-    out[2 * N - 1:N + 1:-2] = cadd(counter, c2[1:m], s1)
+    re[1:m] = cadd(counter, c1[1:m], s2)
+    re[N - 1:m:-1] = csub(counter, c1[1:m], s2)
+    im[1:m] = csub(counter, c2[1:m], s1)
+    im[N - 1:m:-1] = cadd(counter, c2[1:m], s1)
     return out
 
 
 # -- uncounted boundary packing ---------------------------------------------
-
-def interleave_complex(z, dtype):
-    """Interleaved real buffer from a complex signal (vector or columns)."""
-    z = np.asarray(z)
-    buf = np.empty((2 * z.shape[0],) + z.shape[1:], dtype=dtype)
-    buf[0::2] = z.real
-    buf[1::2] = z.imag
-    return buf
-
-
-def complex_from_interleaved(buf):
-    cdtype = np.complex64 if buf.dtype == np.float32 else np.complex128
-    out = np.empty((buf.shape[0] // 2,) + buf.shape[1:], dtype=cdtype)
-    out.real = buf[0::2]
-    out.imag = buf[1::2]
-    return out
-
 
 def complex_from_spectra(spec_c, spec_s):
     """Harmonics 0..N/2 of a real signal from its cosine and sine spectra."""
@@ -391,14 +362,13 @@ def entry_points(module, steps):
         if N < 2 or N & (N - 1):
             raise ValueError(f"periodization must be a power of two >= 2, got {N}")
         table, counter = _resolve(np.dtype(dtype), table, counter)
-        out = cdft_interleaved(_columns(z), N, steps, table, counter)
-        return _shaped_like(complex_from_interleaved(out), z)
+        return _shaped_like(complex_spectrum(_columns(z), N, steps, table, counter), z)
 
     def rdft(values, table=None, counter=None):
         """real-input DFT, reported for k = 0..N/2."""
         x, N = _prep_real(values, 2, "full")
         table, counter = _resolve(x.dtype, table, counter)
-        spec_c, spec_s = real_spectra(_columns(x), N, steps, table, counter)
+        spec_c, spec_s = real_spectra([_columns(x)], N, steps, table, counter)
         return _shaped_like(complex_from_spectra(spec_c, spec_s), x)
 
     def dct0(values, table=None, counter=None):

@@ -168,7 +168,7 @@ def buffer_slot_time(sig_type, N, n):
     Stored indices occupy consecutive cells in increasing index order, so
     the slot is the position of n within sto_n.  For the complex-celled
     types (cx_tt time, and harmonics of cx_tt/re_tt) the slot numbers a
-    complex cell; interleaved real layouts sit on top of that.
+    complex cell.
     """
     indices = sto_n(sig_type, N)
     if n not in indices:

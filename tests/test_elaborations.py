@@ -44,7 +44,6 @@ def test_dispatch_tables():
     assert TIME_SPLIT_CHILDREN == {
         "dc_tt": ("dc_et", "dc_ot"),
         "ds_tt": ("ds_et", "ds_ot"),
-        "dc_t1t": ("dc_et", "dc_ot"),
     }
     assert HARMONIC_SPLIT_CHILDREN == {
         "dc_tt": ("dc_te", "dc_to"),
@@ -84,7 +83,6 @@ def test_harmonic_split_roundtrip_and_charge(sig_type, N, want_adds):
 TIME_CASES = [
     ("dc_tt", 16, 8), ("dc_tt", 64, 32),
     ("ds_tt", 16, 6), ("ds_tt", 64, 30),
-    ("dc_t1t", 16, 8), ("dc_t1t", 64, 32),
 ]
 
 
@@ -98,14 +96,6 @@ def test_time_split_roundtrip_and_charge(sig_type, N, want_adds):
     assert counter.adds == want_adds
     assert counter.muls == 0
     assert np.allclose(combined, pruned_naive(mother), atol=TOL)
-
-
-def test_t1t_time_split_pads_missing_top_sample():
-    mother = SignalView("dc_t1t", 8, [1.0, 2.0, 3.0, 4.0])
-    even, odd = time_split(mother)
-    assert even.type == "dc_et" and odd.type == "dc_ot"
-    assert np.all(even.buffer == [1.0, 3.0, 0.0])
-    assert np.all(odd.buffer == [2.0, 4.0])
 
 
 def test_t1t_harmonic_split_charges_the_zero_pair():
@@ -149,9 +139,9 @@ def test_batched_kernels_match_per_signal():
         e1, o1 = split_harmonic_parity_forward("dc_tt", 16, X[:, j], OpCounter())
         assert np.allclose(even_b[:, j], e1)
         assert np.allclose(odd_b[:, j], o1)
-    e_b, o_b = split_time_parity_forward("dc_t1t", 16, X[:8])
+    e_b, o_b = split_time_parity_forward("ds_tt", 16, X[:7])
     for j in range(3):
-        e1, o1 = split_time_parity_forward("dc_t1t", 16, X[:8, j])
+        e1, o1 = split_time_parity_forward("ds_tt", 16, X[:7, j])
         assert np.allclose(e_b[:, j], e1)
         assert np.allclose(o_b[:, j], o1)
 
@@ -159,5 +149,7 @@ def test_batched_kernels_match_per_signal():
 def test_unsupported_types_raise():
     with pytest.raises(ValueError):
         split_time_parity_forward("dc_ot", 16, np.zeros(4))
+    with pytest.raises(ValueError):
+        split_time_parity_forward("dc_t1t", 16, np.zeros(8))
     with pytest.raises(ValueError):
         split_harmonic_parity_backward("dc_te", 16, np.zeros(3), np.zeros(2))

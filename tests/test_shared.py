@@ -52,8 +52,8 @@ def test_batched_equals_per_column(algorithm, transform, dtype, lg, cols, seed):
     assert (batched_counter.adds, batched_counter.muls) == (cols * adds, cols * muls)
 
 
-# peak of one call over the input's bytes: cdft drops its interleaved
-# buffer once folded, before either recursion runs
+# peak of one call over the input's bytes: cdft drops its side-by-side
+# Re|Im columns once folded, before either recursion runs
 PEAK_BOUND = {"cdft": 2.6, "rdft": 3.7}
 
 
@@ -96,6 +96,34 @@ def test_peak_memory_when_the_caller_holds_arguments(transform, monkeypatch):
     run = shared.run_levels
     monkeypatch.setattr(shared, "run_levels", lambda *args: run(*args))
     assert peak_ratio("classical", transform, (256, 256)) <= 1.01 * plain
+
+
+LAYOUTS = {
+    "fortran": np.asfortranarray,
+    "column_strided": lambda x: x[:, ::2],
+    "row_reversed": lambda x: x[::-1],
+    "reversed_and_strided": lambda x: x[::-1, ::3],
+}
+
+
+@pytest.mark.parametrize("layout", sorted(LAYOUTS))
+@pytest.mark.parametrize("transform,dtype", [
+    ("cdft", np.float32), ("cdft", np.float64), ("rdft", np.float32), ("rdft", np.float64)])
+@pytest.mark.parametrize("algorithm", sorted(MODULES))
+def test_input_layout_does_not_matter(algorithm, transform, dtype, layout):
+    # the boundary reads the caller's array as it is laid out: a strided or
+    # reversed view must give the bits and counts of its contiguous copy
+    fn = getattr(MODULES[algorithm], transform)
+    x = LAYOUTS[layout](signals(transform, 64, 7, dtype, 5))
+    results = []
+    for values in (x, np.ascontiguousarray(x)):
+        counter = OpCounter()
+        results.append((fn(values, table=TrigTable(dtype=dtype), counter=counter),
+                        counter.adds, counter.muls))
+    (got, *got_counts), (want, *want_counts) = results
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want)
+    assert got_counts == want_counts
 
 
 def logged(t, step, calls):
