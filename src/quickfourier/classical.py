@@ -8,12 +8,13 @@ signals store one extra harmonic cell, so this variant's working storage
 grows slowly with depth.
 
 The recursion is the step table STEPS, which shared.run_levels runs
-level by level with same-(type, N) subproblems stacked as columns.  Each
-Step declares its leaf size, its children and the transient signals it
-forms on the way (via), all as (type, halvings of N), so the schedule of
-a root is derived from the table alone and cached, and tree.build_tree
-draws the decomposition tree from it; forward steps return only the
-children's buffers:
+level by level with same-(type, N) subproblems side by side as column
+slots of one buffer.  Each Step declares its leaf size, its children
+and the transient signals it forms on the way (via), all as (type,
+halvings of N), so the schedule of a root is derived from the table
+alone and cached, and tree.build_tree draws the decomposition tree from
+it; forward steps return only the children's buffers, written into the
+slots they are given:
 
   type    leaf  forward -> children; via             backward
   dc_tt   N=2   harmonic split -> dc_tt(N/2),        interleave
@@ -40,6 +41,7 @@ import math
 
 from .counting import cadd, cmul, cmul_rows, csub, rows_like
 from .elaborations import (
+    _placed,
     split_harmonic_parity_backward,
     split_harmonic_parity_forward,
 )
@@ -51,22 +53,22 @@ def _dct_odd_leaf(x, N, table, counter):
     if N == 4:
         return x.copy()  # S(1) = s(0)
     # two-point definition: S(1), S(3) = s(0) +- s(1) cos(2 pi/8)
-    t = cmul(counter, x[1], table.half_secant(1, 8))
+    t = cmul(counter, x[1:2], table.half_secant(1, 8))
     out = rows_like(x, 2)
-    out[0] = cadd(counter, x[0], t)
-    out[1] = csub(counter, x[0], t)
+    cadd(counter, x[0:1], t, out[0:1])
+    csub(counter, x[0:1], t, out[1:2])
     return out
 
 
-def _dct_odd_forward(x, N, table, counter):
+def _dct_odd_forward(x, N, table, counter, outs):
     """dc_to buffer [s(0)..s(N/4-1)]: convert to dc_t1t at N/2, split its harmonics."""
     q = N // 4
     conv = rows_like(x, q)
     conv[0] = cmul(counter, x[0], table.half)  # zero angle: plain halving, still one multiply
-    conv[1:] = cmul_rows(counter, x[1:], table.half_secants(N, range(1, q)))
+    cmul_rows(counter, x[1:], table.half_secants(N, range(1, q)), conv[1:])
     # converted signal: its even harmonics at half periodization carry
     # everything needed; split it by harmonic parity
-    return split_harmonic_parity_forward("dc_t1t", N // 2, conv, counter)
+    return split_harmonic_parity_forward("dc_t1t", N // 2, conv, counter, outs)
 
 
 def _dct_odd_backward(N, spectra, counter):
@@ -77,12 +79,12 @@ def _dct_odd_backward(N, spectra, counter):
     return cadd(counter, half_spec[0:q], half_spec[1:q + 1])
 
 
-def _dst_odd_forward(x, N, table, counter):
+def _dst_odd_forward(x, N, table, counter, outs):
     """ds_to buffer [s(1)..s(N/4)]: convert s(1)..s(N/4-1) onto ds_tt at N/2
     and split off the centre sample s(N/4) as a one-cell ds_e1o signal."""
     q = N // 4
-    conv = cmul_rows(counter, x[0:q - 1], table.half_secants(N, range(1, q)))
-    return conv, x[q - 1:q]
+    conv = cmul_rows(counter, x[0:q - 1], table.half_secants(N, range(1, q)), outs[0])
+    return conv, _placed(x[q - 1:q], outs[1])
 
 
 def _dst_odd_backward(N, spectra, counter):
@@ -94,11 +96,11 @@ def _dst_odd_backward(N, spectra, counter):
     # first and last odd harmonics are free copies
     partial[0] = spec[0]
     partial[q - 1] = spec[q - 2]
-    partial[1:q - 1] = cadd(counter, spec[0:q - 2], spec[1:q - 1])
+    cadd(counter, spec[0:q - 2], spec[1:q - 1], partial[1:q - 1])
     # s(N/4) feeds every odd harmonic with alternating sign
     out = rows_like(spec, q)
-    out[0::2] = cadd(counter, partial[0::2], center)
-    out[1::2] = csub(counter, partial[1::2], center)
+    cadd(counter, partial[0::2], center, out[0::2])
+    csub(counter, partial[1::2], center, out[1::2])
     return out
 
 

@@ -37,15 +37,15 @@ class OpCounter:
         return f"OpCounter(adds={self.adds}, muls={self.muls})"
 
 
-def cadd(counter, x, y):
-    """Counted elementwise addition; one real add per output value."""
-    r = x + y
+def cadd(counter, x, y, out=None):
+    """Counted elementwise addition, into out if given; one real add per output value."""
+    r = x + y if out is None else np.add(x, y, out)
     counter.adds += r.size
     return r
 
 
-def csub(counter, x, y):
-    r = x - y
+def csub(counter, x, y, out=None):
+    r = x - y if out is None else np.subtract(x, y, out)
     counter.adds += r.size
     return r
 
@@ -67,9 +67,9 @@ def rows_like(x, n):
     return np.empty((n,) + x.shape[1:], dtype=x.dtype)
 
 
-def cmul_rows(counter, x, w):
+def cmul_rows(counter, x, w, out=None):
     """Counted multiply of each row of x (rows, signals) by its own constant w[i]."""
-    r = x * w[:, None]
+    r = x * w[:, None] if out is None else np.multiply(x, w[:, None], out)
     counter.muls += r.size
     return r
 

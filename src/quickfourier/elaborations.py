@@ -16,10 +16,13 @@ Four reversible steps relate a signal to smaller ones:
 The two halvings need no kernel: HALVE_HARMONICS_CHILD and
 HALVE_TIME_CHILD name the type that the same buffer is reread as.  The
 array kernels of the two splits work on buffers in stored-slot order,
-either one signal (rows,) or a batch (rows, signals).  For sine-kind
-signals the sum child is the odd-harmonic child; for cosine-kind
-signals it is the even-harmonic child.  The dc_t1t mother stores nothing at index N/2, so
-its n = 0 pairing adds an explicit zero; those adds are still charged.
+either one signal (rows,) or a batch (rows, signals).  A forward kernel
+writes each child into its destination in outs where the caller gives
+one, so a scheduler can hand it preallocated column slots; a time split
+copies its free views there.  For sine-kind signals the sum child is
+the odd-harmonic child; for cosine-kind signals it is the even-harmonic
+child.  The dc_t1t mother stores nothing at index N/2, so its n = 0
+pairing adds an explicit zero; those adds are still charged.
 """
 
 from .counting import cadd, csub, rows_like
@@ -51,13 +54,22 @@ HALVE_TIME_CHILD = {
 }
 
 
-def split_time_parity_forward(sig_type, N, x):
-    """Route samples by index parity; returns (even child, odd child) buffers."""
+def _placed(buf, out):
+    """buf, or out holding a copy of it when out is given."""
+    if out is None:
+        return buf
+    out[...] = buf
+    return out
+
+
+def split_time_parity_forward(sig_type, N, x, outs=None):
+    """Route samples by index parity; returns (even child, odd child) views."""
+    even, odd = outs or (None, None)
     if sig_type == "dc_tt":
-        return x[0::2], x[1::2]
+        return _placed(x[0::2], even), _placed(x[1::2], odd)
     if sig_type == "ds_tt":
         # slots are n-1, so even indices live in the odd slots
-        return x[1::2], x[0::2]
+        return _placed(x[1::2], even), _placed(x[0::2], odd)
     raise ValueError(f"time-parity split undefined for {sig_type}")
 
 
@@ -70,53 +82,54 @@ def split_time_parity_backward(sig_type, N, spec_even, spec_odd, counter):
     q = N // 4
     if sig_type == "dc_tt":
         out = rows_like(spec_even, N // 2 + 1)
-        out[0:q] = cadd(counter, spec_even[0:q], spec_odd)
-        out[N // 2:q:-1] = csub(counter, spec_even[0:q], spec_odd)
+        cadd(counter, spec_even[0:q], spec_odd, out[0:q])
+        csub(counter, spec_even[0:q], spec_odd, out[N // 2:q:-1])
         out[q] = spec_even[q]
         return out
     if sig_type == "ds_tt":
         out = rows_like(spec_odd, N // 2 - 1)
-        out[0:q - 1] = cadd(counter, spec_odd[0:q - 1], spec_even)
-        out[N // 2 - 2:q - 1:-1] = csub(counter, spec_odd[0:q - 1], spec_even)
+        cadd(counter, spec_odd[0:q - 1], spec_even, out[0:q - 1])
+        csub(counter, spec_odd[0:q - 1], spec_even, out[N // 2 - 2:q - 1:-1])
         out[q - 1] = spec_odd[q - 1]
         return out
     raise ValueError(f"time-parity split undefined for {sig_type}")
 
 
-def split_harmonic_parity_forward(sig_type, N, x, counter):
+def split_harmonic_parity_forward(sig_type, N, x, counter, outs=None):
     """Fold mirrored sample pairs; returns (even-harmonic, odd-harmonic) buffers."""
+    even, odd = outs or (None, None)
     q, m = N // 4, N // 2
     if sig_type == "dc_tt":
         a, b = x[0:q], x[m:q:-1]
-        even = rows_like(x, q + 1)
-        even[:q] = cadd(counter, a, b)
+        even = rows_like(x, q + 1) if even is None else even
+        cadd(counter, a, b, even[:q])
         even[q] = x[q]
-        return even, csub(counter, a, b)
+        return even, csub(counter, a, b, odd)
     if sig_type == "dc_t1t":
         a = x[1:q]
         b = x[m - 1:m - q:-1]
-        even = rows_like(x, q + 1)
-        odd = rows_like(x, q)
-        even[0] = cadd(counter, x[0], 0.0)
-        odd[0] = csub(counter, x[0], 0.0)
-        even[1:q] = cadd(counter, a, b)
-        odd[1:q] = csub(counter, a, b)
+        even = rows_like(x, q + 1) if even is None else even
+        odd = rows_like(x, q) if odd is None else odd
+        cadd(counter, x[0:1], 0.0, even[0:1])
+        csub(counter, x[0:1], 0.0, odd[0:1])
+        cadd(counter, a, b, even[1:q])
+        csub(counter, a, b, odd[1:q])
         even[q] = x[q]
         return even, odd
     if sig_type == "dc_ot":
         h = N // 8
         a, b = x[0:h], x[q - 1:q - h - 1:-1]
-        return cadd(counter, a, b), csub(counter, a, b)
+        return cadd(counter, a, b, even), csub(counter, a, b, odd)
     if sig_type == "ds_tt":
         a, b = x[0:q - 1], x[m - 2:q - 1:-1]
-        odd = rows_like(x, q)
-        odd[:q - 1] = cadd(counter, a, b)
+        odd = rows_like(x, q) if odd is None else odd
+        cadd(counter, a, b, odd[:q - 1])
         odd[q - 1] = x[q - 1]  # the N/4 sample only feeds odd harmonics
-        return csub(counter, a, b), odd
+        return csub(counter, a, b, even), odd
     if sig_type == "ds_ot":
         h = N // 8
         a, b = x[0:h], x[q - 1:q - h - 1:-1]
-        return csub(counter, a, b), cadd(counter, a, b)
+        return csub(counter, a, b, even), cadd(counter, a, b, odd)
     raise ValueError(f"harmonic-parity split undefined for {sig_type}")
 
 

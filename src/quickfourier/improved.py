@@ -9,12 +9,13 @@ harmonic cell ever appears.  The recursion bases at eight points use the
 eighth-turn constants.
 
 The recursion is the step table STEPS, which shared.run_levels runs
-level by level with same-(type, N) subproblems stacked as columns.  Each
-Step declares its leaf size, its children and the transient signals it
-forms on the way (via), all as (type, halvings of N), so the schedule of
-a root is derived from the table alone and cached, and tree.build_tree
-draws the decomposition tree from it; forward steps return only the
-children's buffers:
+level by level with same-(type, N) subproblems side by side as column
+slots of one buffer.  Each Step declares its leaf size, its children
+and the transient signals it forms on the way (via), all as (type,
+halvings of N), so the schedule of a root is derived from the table
+alone and cached, and tree.build_tree draws the decomposition tree from
+it; forward steps return only the children's buffers, written into the
+slots they are given:
 
   type   leaf  forward -> children; via              backward
   dc_tt  N=2   time split -> dc_tt(N/2), dc_ot(N);   mirrored sums
@@ -43,17 +44,15 @@ from .counting import cadd, cmul, cmul_rows, rows_like
 from .shared import Step, copy_leaf, entry_points, harmonic_split, time_split, two_point_leaf
 
 
-def _convert_odd_odd(x, N, table, counter):
+def _convert_odd_odd(x, N, table, counter, outs):
     """Forward step of an odd-odd signal: the half-secant conversion onto
     an odd-time signal at N/2."""
-    return (cmul_rows(counter, x, table.half_secants(N, range(1, N // 4, 2))),)
+    return (cmul_rows(counter, x, table.half_secants(N, range(1, N // 4, 2)), outs[0]),)
 
 
 def _dct_oo_leaf(x, N, table, counter):
     """dc_oo at N = 8: the one odd harmonic of the one stored sample."""
-    out = rows_like(x, 1)
-    out[0] = cmul(counter, x[0], table.eighth_cos())  # S(1) = s(1) cos(2 pi/8)
-    return out
+    return cmul(counter, x[0:1], table.eighth_cos())  # S(1) = s(1) cos(2 pi/8)
 
 
 def _dct_oo_backward(N, spectra, counter):
@@ -64,17 +63,15 @@ def _dct_oo_backward(N, spectra, counter):
     # each odd harmonic is the sum of its two even neighbours in the
     # converted spectrum; the neighbour at N/4 vanishes for odd-time
     # signals, so the last one is a free copy
-    out[:h - 1] = cadd(counter, spec[0:h - 1], spec[1:h])
+    cadd(counter, spec[0:h - 1], spec[1:h], out[:h - 1])
     out[h - 1] = spec[h - 1]
     return out
 
 
 def _dst_oo_leaf(x, N, table, counter):
     """ds_oo at N = 8: the one odd harmonic of the one stored sample."""
-    out = rows_like(x, 1)
     # S(1) = s(1) sin(2 pi/8); numerically the half-secant at 1/8
-    out[0] = cmul(counter, x[0], table.half_secant(1, 8))
-    return out
+    return cmul(counter, x[0:1], table.half_secant(1, 8))
 
 
 def _dst_oo_backward(N, spectra, counter):
@@ -85,7 +82,7 @@ def _dst_oo_backward(N, spectra, counter):
     # the neighbour at harmonic 0 vanishes for a sine spectrum, so the
     # first odd harmonic is a free copy
     out[0] = spec[0]
-    out[1:] = cadd(counter, spec[0:h - 1], spec[1:h])
+    cadd(counter, spec[0:h - 1], spec[1:h], out[1:])
     return out
 
 

@@ -9,8 +9,9 @@ signal type (dc_tt, dc_ot, ds_to, ...) to a Step.  A Step gives
   * via: the transient signals the split forms on the way, which its
     own kernels consume, as (type, halvings of N) pairs;
   * base(x, N, table, counter): the spectrum of a leaf;
-  * forward(x, N, table, counter): the children's buffers, in the order
-    of children;
+  * forward(x, N, table, counter, outs): the children's buffers, in the
+    order of children; outs holds, per child, the column slot to write
+    that child into and return, or None for a buffer of the step's own;
   * backward(N, spectra, counter): the spectrum, from the children's
     spectra in the order of children.
 
@@ -19,24 +20,30 @@ it, and tree.build_tree reads its children and via fields to draw the
 decomposition tree.
 
 run_levels runs a table level by level rather than depth first.  It
-groups pending subproblems by (type, N), stacks the buffers of a group
-as columns and runs one base or forward call on the whole group, in
-decreasing N and, within one N, in table order.  Every table lists a
-type before the types that it produces at the same N, so a group is
-complete when its turn comes.  The backward pass then runs in reverse
-order and hands each child spectrum back as a column slice.  Every
-kernel works column by column and charges one operation per value it
-returns, so stacking changes neither a bit of a result nor a count; it
-only replaces thousands of small calls by a few dozen wide ones.
+groups pending subproblems by (type, N), gives each subproblem a column
+slot of its group's one input buffer and runs one base or forward call
+on the whole group, in decreasing N and, within one N, in table order.
+A group fed by more than one producer gets its buffer, ln(type, N) rows
+(the paper's storage) by its columns, when its first producer runs, and
+each forward step writes its children straight into their slots; a
+group with one producer takes the buffer that producer returns, so a
+time split's strided views stay free.  Every table lists a type before
+the types that it produces at the same N, so a group is complete when
+its turn comes.  The backward pass then runs in reverse order and hands
+each child spectrum back as a column slice.  Every kernel works column
+by column and charges one operation per value it returns, so the slots
+change neither a bit of a result nor a count; they only replace
+thousands of small calls by a few dozen wide ones.
 
 The leaf sizes and children fix the whole schedule of a (table, type,
 N) root before any kernel runs: the groups in forward order, each
-child's column slot in units of the root's columns, the backward order,
-and the last reader of each spectrum.  It is derived once, on first
-use, and cached; a call replays it with list indices.  A forward step
-that returns another number of buffers than its children raises
-RuntimeError, as does a table that lists a type after one that produces
-it at the same N.
+child's column slot in units of the root's columns, the input shape of
+each group with more than one producer, the backward order, and the
+last reader of each spectrum.  It is derived once, on first use, and
+cached; a call replays it with list indices.  A forward step that
+returns another number of buffers than its children, or for a child
+with a slot any buffer but that slot, raises RuntimeError, as does a
+table that lists a type after one that produces it at the same N.
 
 Buffers are handed over, not lent: run_levels takes its root buffer out
 of a one-element list, drops each buffer once its forward step has
@@ -67,7 +74,7 @@ result back; cdft puts the real parts of its cols columns and their
 imaginary parts side by side, as 2 cols real columns.
 """
 
-from collections import namedtuple
+from collections import Counter, namedtuple
 from functools import lru_cache
 
 import numpy as np
@@ -83,6 +90,7 @@ from .elaborations import (
     split_time_parity_backward,
     split_time_parity_forward,
 )
+from .taxonomy import ln
 
 # one entry of a step table; the module docstring gives the fields
 Step = namedtuple("Step", "leaf children via base forward backward")
@@ -95,27 +103,38 @@ def run_levels(steps, sig_type, N, root, table, counter):
     out of it: the module docstring says why.
     """
     forward, backward = _schedule(tuple(steps.items()), sig_type, N)
-    pending = [[] for _ in forward]  # group -> buffers, in column order
-    pending[0].append(root.pop())
-    cols = pending[0][0].shape[1]
+    inputs = [None] * len(forward)  # group -> its input buffer
+    inputs[0] = root.pop()
+    cols = inputs[0].shape[1]
     spectra = [None] * len(forward)
-    for g, (step, n, kids) in enumerate(forward):
-        parts = pending[g]
-        pending[g] = None
-        x = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
-        parts = None
-        if kids is None:
+    for g, (step, n, slots) in enumerate(forward):
+        x = inputs[g]
+        inputs[g] = None
+        if slots is None:
             spectra[g] = step.base(x, n, table, counter)
             x = None
             continue
-        bufs = step.forward(x, n, table, counter)
+        outs = []
+        for k, c0, c1, shape in slots:
+            out = None
+            if shape is not None:
+                out = inputs[k]
+                if out is None:
+                    out = inputs[k] = np.empty((shape[0], shape[1] * cols), x.dtype)
+                out = out[:, c0 * cols:c1 * cols]
+            outs.append(out)
+        bufs = step.forward(x, n, table, counter, outs)
         x = None
-        if len(bufs) != len(kids):
+        if len(bufs) != len(slots):
             raise RuntimeError(f"forward step at N={n} returned {len(bufs)} buffers "
-                               f"for {len(kids)} declared children")
-        for k, buf in zip(kids, bufs):
-            pending[k].append(buf)
-        bufs = buf = None
+                               f"for {len(slots)} declared children")
+        for (k, _, _, shape), out, buf in zip(slots, outs, bufs):
+            if shape is None:
+                inputs[k] = buf
+            elif buf is not out:
+                raise RuntimeError(f"forward step at N={n} returned a child buffer "
+                                   f"other than the slot it was given")
+        bufs = buf = outs = out = None
     for g, step, n, slots, last_read in backward:
         views = [spectra[k][:, c0 * cols:c1 * cols] for k, c0, c1 in slots]
         for k in last_read:
@@ -133,16 +152,19 @@ def _schedule(items, sig_type, N):
     table.  Groups are numbered in forward order, the root first.  The
     result is
 
-      * forward: (step, N, child groups) per group, None for the
-        children of a leaf;
+      * forward: (step, N, slots) per group, slots None for a leaf; each
+        slot (child group, c0, c1, shape) gives the group's column range
+        in the child's input in units of the root's columns, and the
+        (rows, root columns) of that input when more than one producer
+        writes into it, else None;
       * backward: (group, step, N, slots, last_read) per split group in
         backward order, where each slot (child group, c0, c1) is the
-        group's column range in the child's spectrum in units of the
-        root's columns, and last_read lists the children whose spectra
-        no later step reads.
+        group's column range in the child's spectrum and last_read lists
+        the children whose spectra no later step reads.
     """
     claimed = {(sig_type, N): 1}  # pending group -> root columns claimed so far
     index = {}                    # (type, N) -> group
+    widths = {}                   # (type, N) -> root columns
     groups = []                   # (step, N, child slots or None), forward order
     n = N
     while n:
@@ -151,6 +173,7 @@ def _schedule(items, sig_type, N):
             if width is None:
                 continue
             index[(t, n)] = len(groups)
+            widths[(t, n)] = width
             if n <= step.leaf:
                 groups.append((step, n, None))
                 continue
@@ -164,17 +187,20 @@ def _schedule(items, sig_type, N):
         n //= 2
     if claimed:
         raise RuntimeError(f"step table leaves {sorted(claimed)} unscheduled")
+    producers = Counter(child for _, _, slots in groups for child, _, _ in slots or ())
+    shapes = {child: (ln(*child), widths[child]) for child, p in producers.items() if p > 1}
     forward, backward, read = [], [], set()
     for g, (step, n, slots) in enumerate(groups):
         if slots is None:
             forward.append((step, n, None))
             continue
+        forward.append((step, n, tuple((index[child], c0, c1, shapes.get(child))
+                                       for child, c0, c1 in slots)))
         slots = tuple((index[child], c0, c1) for child, c0, c1 in slots)
         kids = tuple(k for k, _, _ in slots)
         # the first reader in forward order is the last one in backward order
         last_read = tuple(k for k in dict.fromkeys(kids) if k not in read)
         read.update(kids)
-        forward.append((step, n, kids))
         backward.append((g, step, n, slots, last_read))
     return tuple(forward), tuple(reversed(backward))
 
@@ -189,8 +215,8 @@ def copy_leaf(x, N, table, counter):
 def two_point_leaf(x, N, table, counter):
     """dc_tt at N = 2: S(0), S(1) = s(0) +- s(1)."""
     out = rows_like(x, 2)
-    out[0] = cadd(counter, x[0], x[1])
-    out[1] = csub(counter, x[0], x[1])
+    cadd(counter, x[0:1], x[1:2], out[0:1])
+    csub(counter, x[0:1], x[1:2], out[1:2])
     return out
 
 
@@ -202,8 +228,8 @@ def time_split(sig_type, leaf, base):
     even_type, odd_type = TIME_SPLIT_CHILDREN[sig_type]
     children = ((HALVE_TIME_CHILD[even_type], 1), (odd_type, 0))
 
-    def forward(x, N, table, counter):
-        return split_time_parity_forward(sig_type, N, x)
+    def forward(x, N, table, counter, outs):
+        return split_time_parity_forward(sig_type, N, x, outs)
 
     def backward(N, spectra, counter):
         return split_time_parity_backward(sig_type, N, spectra[0], spectra[1], counter)
@@ -219,8 +245,8 @@ def harmonic_split(sig_type, leaf, base):
     even_type, odd_type = HARMONIC_SPLIT_CHILDREN[sig_type]
     children = ((HALVE_HARMONICS_CHILD[even_type], 1), (odd_type, 0))
 
-    def forward(x, N, table, counter):
-        return split_harmonic_parity_forward(sig_type, N, x, counter)
+    def forward(x, N, table, counter, outs):
+        return split_harmonic_parity_forward(sig_type, N, x, counter, outs)
 
     def backward(N, spectra, counter):
         return split_harmonic_parity_backward(sig_type, N, spectra[0], spectra[1])
@@ -242,7 +268,7 @@ def real_spectra(columns, N, steps, table, counter):
     even = rows_like(x, m + 1)  # dc_tt [s(0), s(1)+s(N-1), .., s(N/2)]
     even[0] = x[0]
     even[m] = x[m]
-    even[1:m] = cadd(counter, head, tail)
+    cadd(counter, head, tail, even[1:m])
     even, odd = [even], [csub(counter, head, tail)]
     x = head = tail = None
     spec_c = run_levels(steps, "dc_tt", N, even, table, counter)
@@ -270,10 +296,10 @@ def complex_spectrum(z, N, steps, table, counter):
     re[m], im[m] = c1[m], c2[m]
     # a component's half spectrum is C - i S, so for k = 1..N/2-1
     # S(k) = C1 + S2 + i (C2 - S1) and S(N-k) = C1 - S2 + i (C2 + S1)
-    re[1:m] = cadd(counter, c1[1:m], s2)
-    re[N - 1:m:-1] = csub(counter, c1[1:m], s2)
-    im[1:m] = csub(counter, c2[1:m], s1)
-    im[N - 1:m:-1] = cadd(counter, c2[1:m], s1)
+    cadd(counter, c1[1:m], s2, re[1:m])
+    csub(counter, c1[1:m], s2, re[N - 1:m:-1])
+    csub(counter, c2[1:m], s1, im[1:m])
+    cadd(counter, c2[1:m], s1, im[N - 1:m:-1])
     return out
 
 
@@ -282,8 +308,9 @@ def complex_spectrum(z, N, steps, table, counter):
 def complex_from_spectra(spec_c, spec_s):
     """Harmonics 0..N/2 of a real signal from its cosine and sine spectra."""
     cdtype = np.complex64 if spec_c.dtype == np.float32 else np.complex128
-    out = np.zeros(spec_c.shape, dtype=cdtype)
+    out = np.empty(spec_c.shape, dtype=cdtype)
     out.real = spec_c
+    out.imag[0] = out.imag[-1] = 0  # harmonics 0 and N/2 of a real signal are real
     np.negative(spec_s, out=out.imag[1:-1])  # Im(k) = -sine spectrum; the sign flip is free
     return out
 

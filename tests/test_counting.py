@@ -126,3 +126,39 @@ def test_vector_lookup_by_range_or_list():
     assert by_range.touched == by_list.touched
     assert by_range.half_secants(64, range(1, 16, 2)) is a
     assert by_range.touched == by_list.touched
+
+
+
+# destinations of an out= write, as row selections of an N-row buffer
+N_ROWS, MID = 16, 8
+DESTINATIONS = {
+    "rows": lambda a: a[1:MID],
+    "reversed": lambda a: a[N_ROWS - 1:MID:-1],
+    "one_row": lambda a: a[0:1],
+}
+HELPERS = {"cadd": cadd, "csub": csub, "cmul_rows": cmul_rows}
+
+
+@pytest.mark.parametrize("dest", sorted(DESTINATIONS))
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("helper,ndim", [
+    ("cadd", 1), ("cadd", 2), ("csub", 1), ("csub", 2), ("cmul_rows", 2)])
+def test_out_matches_the_fresh_result(helper, ndim, dtype, dest):
+    # a kernel that writes a child straight into its slot must give the
+    # bits and the count of the fresh result it replaces
+    fn, pick = HELPERS[helper], DESTINATIONS[dest]
+    rng = np.random.default_rng(8)
+    shape = (N_ROWS, 3)[:ndim]
+    x = pick(rng.standard_normal(shape).astype(dtype))
+    y = pick(rng.standard_normal(N_ROWS if helper == "cmul_rows" else shape).astype(dtype))
+    fresh, into = OpCounter(), OpCounter()
+    want = fn(fresh, x, y)
+    buf = np.full(shape, np.nan, dtype)
+    out = pick(buf)
+    got = fn(into, x, y, out)
+    assert got is out
+    assert got.dtype == want.dtype == dtype
+    assert np.ascontiguousarray(got).tobytes() == want.tobytes()
+    assert (into.adds, into.muls) == (fresh.adds, fresh.muls)
+    assert fresh.adds + fresh.muls == want.size
+    assert np.isnan(buf).sum() == buf.size - out.size  # nothing else is written
