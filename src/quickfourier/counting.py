@@ -6,10 +6,16 @@ than estimated.  Constants come from a TrigTable that logs which entries
 a run touched, keyed by what the constant is (a reduced angle fraction,
 or the named eighth-turn cosine), so equal angles collapse to one entry
 no matter which recursion level asked for them.
+
+The values themselves are not the table's: each vector a lookup asks for
+is evaluated once, in one vectorised pass over its reduced fractions, and
+kept read-only in a module-level cache that every table and thread
+shares.  A table holds only its dtype, pipeline and access log, so a
+fresh table per run is as cheap as a constructor.
 """
 
 import math
-from math import gcd
+from itertools import repeat
 
 import numpy as np
 
@@ -76,9 +82,16 @@ def cmul_rows(counter, x, w, out=None):
 
 _PIPELINES = ("two_tier", "single_tier")
 
+# Read-only constant vectors shared by every TrigTable in the process:
+# (dtype, pipeline, N, indices) -> (vector, keys of the constants in it).
+# Values depend on nothing but the key, so a table need only log what it
+# was given, and threads may fill the cache concurrently: setdefault makes
+# the first vector stored for a key the one every lookup gets.
+_VECTORS = {}
+
 
 class TrigTable:
-    """Trigonometric constants shared by the fast transforms.
+    """Trigonometric constants shared by the fast transforms, and one run's access log.
 
     Half-secant entries hold 1/(2 cos(2 pi j/d)) keyed by the reduced
     fraction j/d; one named entry holds the eighth-turn cosine
@@ -90,6 +103,9 @@ class TrigTable:
     rounds once to the working dtype; "single_tier" performs every step
     of the evaluation in the working dtype, which costs accuracy for
     angles near a quarter turn where the secant is steep.
+
+    A table holds no values, only its log: each lookup it served, mapped
+    to the keys of the constants it returned.  touched unions that log.
     """
 
     def __init__(self, dtype=np.float64, pipeline="two_tier"):
@@ -100,109 +116,86 @@ class TrigTable:
             raise ValueError("working dtype must be float32 or float64")
         self.pipeline = pipeline
         self.half = self.dtype.type(0.5)  # exact; not a table entry
-        self._values = {}
-        self._vec_cache = {}    # (N, indices) -> (vector, its constants' keys)
-        self._logged_vecs = {}  # the vectors whose constants are logged since reset_log
-        self.touched = set()
+        self._log = {}  # lookup -> keys of the constants it returned
 
     # -- constant evaluation ------------------------------------------------
 
-    def _wide_cos_of_turns(self, j, d):
-        # cos(2 pi j/d) in the tier above the working dtype
-        if self.dtype.type is np.float32:
-            return math.cos(2.0 * math.pi * (j / d))
-        t = np.longdouble(j) / np.longdouble(d)
-        return np.cos(2.0 * _WIDE_PI * t)
-
-    def _working_cos_of_turns(self, j, d):
-        # every step rounded to the working dtype
+    def _value_for(self, j, d, secant=True):
+        """1/(2 cos(2 pi j/d)), or cos(2 pi j/d) if not secant, for integer arrays j, d."""
         ft = self.dtype.type
-        ang = ft(2.0) * ft(np.pi) * (ft(j) / ft(d))
-        return np.cos(ang)
+        if self.pipeline == "single_tier":
+            # every step rounded to the working dtype
+            c = np.cos(ft(2.0) * ft(np.pi) * (j.astype(ft) / d.astype(ft)))
+            return ft(1.0) / (ft(2.0) * c) if secant else c
+        # the tier above the working dtype, rounded once at the end
+        if ft is np.float32:
+            c = np.cos(2.0 * math.pi * (j / d))
+        else:
+            c = np.cos(2.0 * _WIDE_PI * (j.astype(np.longdouble) / d.astype(np.longdouble)))
+        return (1.0 / (2.0 * c) if secant else c).astype(ft)
 
-    def _value_for(self, key):
-        if key == ("cos8",):
-            if self.pipeline == "two_tier":
-                return self.dtype.type(self._wide_cos_of_turns(1, 8))
-            return self.dtype.type(self._working_cos_of_turns(1, 8))
-        _, j, d = key
-        if self.pipeline == "two_tier":
-            c = self._wide_cos_of_turns(j, d)
-            return self.dtype.type(1.0 / (2.0 * c))
-        ft = self.dtype.type
-        c = self._working_cos_of_turns(j, d)
-        return ft(1.0) / (ft(2.0) * c)
-
-    def _get(self, key):
-        v = self._values.get(key)
-        if v is None:
-            v = self._value_for(key)
-            self._values[key] = v
-        self.touched.add(key)
-        return v
+    def _lookup(self, N, ns):
+        # the read-only vector of one lookup; its constants' keys join the log
+        key = (self.dtype, self.pipeline, N, ns)
+        entry = _VECTORS.get(key)
+        if entry is None:
+            if ns == "cos8":
+                vec = self._value_for(np.array([1]), np.array([8]), secant=False)
+                keys = [("cos8",)]
+            else:
+                n = np.array(ns, dtype=np.int64).reshape(-1)
+                g = np.gcd(n, N)
+                j, d = n // g, N // g
+                if (d == 4).any():
+                    raise ValueError("half-secant undefined at a quarter turn")
+                vec = self._value_for(j, d)
+                keys = zip(repeat("sec"), j.tolist(), d.tolist())
+            vec.flags.writeable = False
+            entry = _VECTORS.setdefault(key, (vec, frozenset(keys)))
+        self._log[key] = entry[1]
+        return entry[0]
 
     # -- public lookups -----------------------------------------------------
 
     def half_secant(self, n, N):
         """1/(2 cos(2 pi n/N)); n/N must not land on an odd quarter turn."""
-        g = gcd(n, N)
-        j, d = n // g, N // g
-        if d == 4:
-            raise ValueError("half-secant undefined at a quarter turn")
-        return self._get(("sec", j, d))
+        return self.half_secants(N, (n,))[0]
 
     def half_secants(self, N, ns):
         """Read-only vector of half-secants for the time indices ns at periodization N.
 
-        A range is its own cache key.  Each vector's constants join the
-        access log on its first lookup after a reset_log().
+        No n/N may land on an odd quarter turn.  A range is its own cache
+        key.  Every lookup logs the vector's constants.
         """
-        key = (N, ns if isinstance(ns, range) else tuple(int(n) for n in ns))
-        vec = self._logged_vecs.get(key)
-        if vec is None:
-            vec, keys = self._vec_cache.get(key) or self._secant_vector(N, key[1])
-            self._vec_cache[key] = vec, keys
-            self.touched.update(keys)
-            self._logged_vecs[key] = vec
-        return vec
-
-    def _secant_vector(self, N, ns):
-        keys = []
-        for n in ns:
-            g = gcd(n, N)
-            keys.append(("sec", n // g, N // g))
-        vec = np.array([self._get(key) for key in keys], dtype=self.dtype)
-        vec.flags.writeable = False
-        return vec, frozenset(keys)
+        return self._lookup(N, ns if isinstance(ns, range) else tuple(int(n) for n in ns))
 
     def eighth_cos(self):
         """cos(2 pi / 8), the one named constant beyond the half-secants."""
-        return self._get(("cos8",))
+        return self._lookup(8, "cos8")[0]
 
     # -- audit --------------------------------------------------------------
+
+    @property
+    def touched(self):
+        """Keys of every constant the logged lookups returned."""
+        return set().union(*self._log.values())
 
     def touched_count(self):
         return len(self.touched)
 
     def reset_log(self):
-        self.touched = set()
-        self._logged_vecs = {}
+        self._log = {}
 
 
 def build_trig_table(algorithm, N, dtype=np.float64, pipeline="two_tier"):
-    """Precompute the constants a full transform at periodization N uses.
+    """A fresh table, its access log empty, for a full transform at periodization N.
 
     Both algorithms draw on the half-secants at the reduced fractions
     m/N for m = 1..N/4-1; the improved algorithm adds the eighth-turn
-    cosine for its smallest odd-odd stages.  The access log starts empty
-    so a following run can be audited against this footprint.
+    cosine for its smallest odd-odd stages.  A following run's log can
+    then be audited against that footprint.  Nothing is precomputed: the
+    shared cache evaluates each vector of constants on its first lookup.
     """
     if algorithm not in ("classical", "improved"):
         raise ValueError("algorithm must be 'classical' or 'improved'")
-    table = TrigTable(dtype=dtype, pipeline=pipeline)
-    for m in range(1, N // 4):
-        table.half_secant(m, N)
-    if algorithm == "improved" and N >= 8:
-        table.eighth_cos()
-    table.reset_log()
-    return table
+    return TrigTable(dtype=dtype, pipeline=pipeline)

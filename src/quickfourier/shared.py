@@ -317,15 +317,9 @@ def complex_from_spectra(spec_c, spec_s):
 
 # -- public entry points ----------------------------------------------------
 
-_default_tables = {}
-
-
 def _resolve(dtype, table, counter):
     if table is None:
-        table = _default_tables.get(dtype.name)
-        if table is None:
-            table = TrigTable(dtype=dtype)
-            _default_tables[dtype.name] = table
+        table = TrigTable(dtype=dtype)  # a constructor only: the constants are cached
     if np.dtype(table.dtype) != dtype:
         raise ValueError(f"table dtype {table.dtype} does not match input dtype {dtype}")
     if counter is None:

@@ -8,8 +8,9 @@ whose stored harmonics outnumber their stored time samples by one.
 
 For each type and power-of-two periodization N, `sto_n` and `sto_k` give
 the stored time and harmonic index sets, and `ln`/`lk` give the backing
-storage cell counts.  Complex-valued cells (cx time/freq, re freq) take
-two real cells each, which is why ln(cx_tt) is 2N and not N.
+storage cell counts, derived from those sets.  Complex-valued cells (cx
+time/freq, re freq) take two real cells each, which is why ln(cx_tt) is
+2N and not N.
 """
 
 from dataclasses import dataclass
@@ -116,40 +117,23 @@ def sto_k(sig_type, N):
 @cache
 def ln(sig_type, N):
     """Real storage cells needed for the stored time samples."""
-    check_type_n(sig_type, N)
-    q, m = N // 4, N // 2
-    return {
-        "cx_tt": 2 * N,
-        "re_tt": N,
-        "dc_tt": m + 1,
-        "dc_et": q + 1,
-        "dc_ot": q,
-        "dc_te": q + 1,
-        "dc_to": q,
-        "dc_oe": N // 8,
-        "dc_oo": N // 8,
-        "dc_t1e": q,
-        "dc_t1t": m,
-        "ds_tt": m - 1,
-        "ds_et": q - 1,
-        "ds_te": q - 1,
-        "ds_to": q,
-        "ds_ot": q,
-        "ds_oe": N // 8,
-        "ds_oo": N // 8,
-        "ds_t1o": q - 1,
-        "ds_e1o": 1,
-    }[sig_type]
+    cells = len(sto_n(sig_type, N))
+    return 2 * cells if sig_type == "cx_tt" else cells
 
 
 @cache
 def lk(sig_type, N):
-    """Real storage cells needed for the stored harmonics."""
-    check_type_n(sig_type, N)
-    # The three converted types store one extra harmonic cell; every other
-    # type is storage balanced.
-    extra = {"dc_t1e": 1, "dc_t1t": 1, "ds_t1o": 1}
-    return ln(sig_type, N) + extra.get(sig_type, 0)
+    """Real storage cells needed for the stored harmonics.
+
+    re_tt packs its harmonics as complex pairs, except the two purely
+    real ones at k = 0 and k = N/2.
+    """
+    cells = len(sto_k(sig_type, N))
+    if sig_type == "cx_tt":
+        return 2 * cells
+    if sig_type == "re_tt":
+        return 2 * cells - 2
+    return cells
 
 
 @dataclass(frozen=True)

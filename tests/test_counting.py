@@ -98,14 +98,42 @@ def test_single_tier_differs_near_quarter_turn():
 
 def test_build_table_footprints():
     assert build_trig_table("classical", 8).touched_count() == 0  # log starts empty
-    for N, want in [(8, 1), (16, 3), (64, 15)]:
-        t = build_trig_table("classical", N)
-        assert len(t._values) == want == N // 4 - 1
-    for N, want in [(8, 2), (16, 4), (64, 16)]:
-        t = build_trig_table("improved", N)
-        assert len(t._values) == want == N // 4
     with pytest.raises(ValueError):
         build_trig_table("fastest", 8)
+
+
+# pi to more digits than an 80-bit extended float holds, as in the table
+WIDE_PI = np.longdouble("3.14159265358979323846264338327950288419716939937510")
+
+
+def scalar_constant(j, d, dtype, pipeline, secant=True):
+    """1/(2 cos(2 pi j/d)), or cos(2 pi j/d), evaluated one key at a time."""
+    ft = np.dtype(dtype).type
+    if pipeline == "single_tier":
+        c = np.cos(ft(2.0) * ft(np.pi) * (ft(j) / ft(d)))
+        return ft(1.0) / (ft(2.0) * c) if secant else c
+    if ft is np.float32:
+        c = math.cos(2.0 * math.pi * (j / d))
+    else:
+        c = np.cos(2.0 * WIDE_PI * (np.longdouble(j) / np.longdouble(d)))
+    return ft(1.0 / (2.0 * c) if secant else c)
+
+
+@pytest.mark.parametrize("pipeline", ["two_tier", "single_tier"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_vectorised_constants_match_the_scalar_formulas(dtype, pipeline):
+    # one vectorised pass per vector must give each constant the bits of
+    # its own per-key evaluation
+    t = TrigTable(dtype=dtype, pipeline=pipeline)
+    want = scalar_constant(1, 8, dtype, pipeline, secant=False)
+    assert t.eighth_cos().dtype == want.dtype and t.eighth_cos() == want
+    for N in (2 ** k for k in range(3, 17)):
+        got = t.half_secants(N, range(1, N // 4))
+        want = np.array([scalar_constant(m // math.gcd(m, N), N // math.gcd(m, N),
+                                         dtype, pipeline) for m in range(1, N // 4)],
+                        dtype=dtype)
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes(), f"N={N}"
 
 
 def test_vector_lookup_logs_on_every_call():

@@ -1,13 +1,18 @@
 """Level scheduler and shared drivers: column stacking, memory, step tables."""
 
+import importlib
+import pkgutil
+import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from quickfourier import classical, improved, shared, tree
+import quickfourier
+from quickfourier import classical, counting, improved, shared, tree
 from quickfourier.counting import OpCounter, TrigTable
 from quickfourier.shared import Step, run_levels
 
@@ -52,11 +57,55 @@ def test_batched_equals_per_column(algorithm, transform, dtype, lg, cols, seed):
     assert (batched_counter.adds, batched_counter.muls) == (cols * adds, cols * muls)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_default_table_calls_leave_no_table_behind(dtype):
+    # a table kept by a module would be shared by every call in the
+    # process, and its log would mix the footprints of unrelated runs
+    for module in MODULES.values():
+        for transform in ("cdft", "rdft", "dct0", "dst0"):
+            getattr(module, transform)(signals(transform, 64, 2, dtype, 3))
+    modules = [quickfourier] + [importlib.import_module(f"quickfourier.{m.name}")
+                                for m in pkgutil.iter_modules(quickfourier.__path__)]
+    for mod in modules:
+        for name, value in vars(mod).items():
+            held = value.values() if isinstance(value, dict) else (value,)
+            assert not any(isinstance(v, TrigTable) for v in held), f"{mod.__name__}.{name}"
+
+
+def test_threads_with_their_own_tables_log_only_their_own_runs():
+    # threads that race to fill the shared constant cache must each get
+    # the bits of a run alone and a log of exactly that run's N/4 constants;
+    # more threads than a small runner has cores, switching often
+    sizes = (64, 128, 256, 512)
+    inputs = {N: signals("cdft", N, 1, np.float64, N)[:, 0] for N in sizes}
+    alone = {N: improved.cdft(x, table=TrigTable()) for N, x in inputs.items()}
+
+    def runs(N):
+        table, seen = TrigTable(), []
+        for _ in range(25):
+            table.reset_log()
+            out = improved.cdft(inputs[N], table=table)
+            seen.append((table.touched_count(), out.tobytes() == alone[N].tobytes()))
+        return seen
+
+    counting._VECTORS.clear()  # a cold cache, so the threads fill it concurrently
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(len(sizes)) as pool:
+            futures = {N: pool.submit(runs, N) for N in sizes}
+            results = {N: f.result(timeout=120) for N, f in futures.items()}
+    finally:
+        sys.setswitchinterval(interval)
+    for N, seen in results.items():
+        assert seen == [(N // 4, True)] * 25, f"N={N}"
+
+
 # peak of one call over the input's bytes: cdft drops its side-by-side
 # Re|Im columns once folded, before either recursion runs, and forward
 # steps write their children into their groups' buffers, so no group's
 # input is concatenated from parts
-PEAK_BOUND = {"cdft": 2.35, "rdft": 3.7}
+PEAK_BOUND = {"cdft": 2.35, "rdft": 2.45}
 
 
 def peak_ratio(algorithm, transform, shape):
