@@ -29,7 +29,7 @@ decomposition recurses into.
 from dataclasses import dataclass, field
 
 from . import classical, improved
-from .taxonomy import storage_sizes
+from . import taxonomy
 
 
 @dataclass
@@ -46,11 +46,11 @@ class TreeNode:
 
     @property
     def ln(self):
-        return storage_sizes(self.sig_type, self.N).ln
+        return taxonomy.ln(self.sig_type, self.N)
 
     @property
     def lk(self):
-        return storage_sizes(self.sig_type, self.N).lk
+        return taxonomy.lk(self.sig_type, self.N)
 
     @property
     def label(self):

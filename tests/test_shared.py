@@ -138,6 +138,21 @@ def test_peak_memory_of_one_call(algorithm, transform, shape):
     assert peak_ratio(algorithm, transform, shape) <= PEAK_BOUND[transform]
 
 
+# float64 inputs of 8 MiB: eight column blocks each, so a call holds its
+# output, about the input's bytes, plus one block's working set
+WIDE_SHAPES = {"cdft": (1024, 512), "rdft": (1024, 1024)}
+
+
+@pytest.mark.parametrize("transform", sorted(WIDE_SHAPES))
+@pytest.mark.parametrize("algorithm", sorted(MODULES))
+def test_peak_memory_of_a_wide_call(algorithm, transform):
+    # a wide call must not hold every level of all its columns at once
+    rows, cols = WIDE_SHAPES[transform]
+    itemsize = np.dtype(np.complex128 if transform == "cdft" else np.float64).itemsize
+    assert cols >= 4 * shared._block_width(rows, cols, itemsize)
+    assert peak_ratio(algorithm, transform, WIDE_SHAPES[transform]) <= 1.5
+
+
 @pytest.mark.parametrize("transform", sorted(PEAK_BOUND))
 def test_peak_memory_when_the_caller_holds_arguments(transform, monkeypatch):
     # CPython before 3.11 keeps each argument alive in the caller's frame
@@ -175,6 +190,55 @@ def test_input_layout_does_not_matter(algorithm, transform, dtype, layout):
     assert got.dtype == want.dtype
     assert np.array_equal(got, want)
     assert got_counts == want_counts
+
+
+ENTRY_POINTS = [(a, t) for a in sorted(MODULES) for t in ("cdft", "rdft", "dct0", "dst0")]
+
+
+def traced_call(fn, values, dtype):
+    """(output, (adds, muls), sorted constants touched) of one call."""
+    table, counter = TrigTable(dtype=dtype), OpCounter()
+    out = fn(values, table=table, counter=counter)
+    return out, (counter.adds, counter.muls), sorted(table.touched)
+
+
+@pytest.mark.parametrize("ndim", [1, 2])
+@pytest.mark.parametrize("layout", sorted(LAYOUTS))
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("algorithm,transform", ENTRY_POINTS)
+def test_column_blocks_match_the_whole_width_call(algorithm, transform, dtype, layout,
+                                                  ndim, monkeypatch):
+    # blocks of three or four columns, so every 2-D call ends in a partial
+    # block: every column must come out once, with the bits, counts and
+    # constants of a call that runs all its columns at once
+    fn = getattr(MODULES[algorithm], transform)
+    x = LAYOUTS[layout](signals(transform, 64, 20, dtype, 8))
+    if ndim == 1:
+        x = x[:, 0]
+    want = traced_call(fn, x, dtype)
+    rows, itemsize = x.shape[0], x.dtype.itemsize
+    monkeypatch.setattr(shared, "BLOCK_BYTES", 3 * rows * itemsize)
+    monkeypatch.setattr(shared, "MIN_BLOCK_ROW_BYTES", 1)
+    assert shared._block_width(rows, 20, itemsize) == 3
+    got = traced_call(fn, x, dtype)
+    assert got[0].dtype == want[0].dtype
+    assert got[0].shape == want[0].shape
+    assert np.array_equal(got[0], want[0])
+    assert got[1:] == want[1:]
+
+
+@pytest.mark.parametrize("sample", [np.bool_, np.int8, np.int64, np.uint16, np.float16])
+@pytest.mark.parametrize("algorithm,transform", ENTRY_POINTS)
+def test_other_real_samples_work_in_float64(algorithm, transform, sample):
+    # the documented promotion: a real sample type other than float32 or
+    # float64 gives the result of the same values as float64
+    fn = getattr(MODULES[algorithm], transform)
+    x = np.random.default_rng(9).integers(0, 4, (stored_length(transform, 32), 3))
+    x = x.astype(sample)
+    got, want = fn(x), fn(x.astype(np.float64))
+    assert got.dtype == (np.complex128 if transform in ("cdft", "rdft") else np.float64)
+    assert got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
 
 
 def logged(t, step, calls):
