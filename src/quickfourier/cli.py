@@ -19,7 +19,7 @@ import numpy as np
 
 from . import accuracy, costmodel, reference, tree
 from .counting import OpCounter, build_trig_table
-from .taxonomy import storage_sizes
+from .taxonomy import stored_length
 
 
 class _Parser(argparse.ArgumentParser):
@@ -38,23 +38,6 @@ def _output(path):
     else:
         with open(path, "w") as fh:
             yield fh
-
-
-def _stored_length(transform, N):
-    kind = {"cdft": "cx_tt", "rdft": "re_tt", "dct0": "dc_tt", "dst0": "ds_tt"}
-    sizes = storage_sizes(kind[transform], N)
-    if transform == "cdft":
-        return N  # complex samples
-    if transform == "rdft":
-        return N
-    return sizes.ln
-
-
-def _parse_number(token):
-    value = ast.literal_eval(token)
-    if not isinstance(value, (int, float, complex)):
-        raise ValueError(f"not a number: {token!r}")
-    return value
 
 
 def _read_samples_file(path):
@@ -100,12 +83,9 @@ def _gather_input(args):
         return _coerce_input(args.transform, list(values))
     if args.n is None:
         raise ValueError("--impulse and --random need --n")
-    length = _stored_length(args.transform, args.n)
+    length = stored_length(args.transform, args.n)
     if args.impulse:
-        if args.transform == "cdft":
-            x = np.zeros(length, dtype=np.complex128)
-        else:
-            x = np.zeros(length, dtype=np.float64)
+        x = np.zeros(length)  # real samples: cdft takes them as well
         x[0] = 1.0
         return x
     if args.transform == "cdft":
@@ -198,7 +178,7 @@ def _run_selftest(args):
                 f"{algorithm} touched {table.touched_count()} constants, not {want}")
         print(f"ok {algorithm} constant footprint ({want})")
 
-    for algorithm in ("classical", "improved"):
+    for algorithm in costmodel.ALGORITHMS:
         root = tree.build_tree(algorithm, "cdft", 256)
         bad = tree.conservation_violations(root, algorithm == "classical")
         if bad:
@@ -214,8 +194,7 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     p = sub.add_parser("transform", help="run one transform on a signal")
-    p.add_argument("--algorithm", choices=("classical", "improved"),
-                   default="improved")
+    p.add_argument("--algorithm", choices=costmodel.ALGORITHMS, default="improved")
     p.add_argument("--transform", choices=costmodel.TRANSFORMS, default="cdft")
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--input", help="file with one sample per line: re or re,im")
@@ -231,8 +210,7 @@ def build_parser():
     p.set_defaults(func=_run_transform)
 
     p = sub.add_parser("cost-table", help="predicted vs measured operation counts (CSV)")
-    p.add_argument("--algorithm", choices=("classical", "improved"),
-                   required=True)
+    p.add_argument("--algorithm", choices=costmodel.ALGORITHMS, required=True)
     p.add_argument("--transform", choices=costmodel.TRANSFORMS, default="cdft")
     p.add_argument("--sizes", help="comma-separated periodizations")
     p.add_argument("--output")
@@ -248,8 +226,7 @@ def build_parser():
     p.set_defaults(func=_run_accuracy)
 
     p = sub.add_parser("tree", help="decomposition tree dump")
-    p.add_argument("--algorithm", choices=("classical", "improved"),
-                   required=True)
+    p.add_argument("--algorithm", choices=costmodel.ALGORITHMS, required=True)
     p.add_argument("--transform", choices=costmodel.TRANSFORMS, default="cdft")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--output")

@@ -15,9 +15,10 @@ import numpy as np
 
 from . import classical, improved
 from .counting import OpCounter, build_trig_table
+from .taxonomy import ROOT_TYPE, check_type_n, stored_length
 
 ALGORITHMS = ("classical", "improved")
-TRANSFORMS = ("cdft", "rdft", "dct0", "dst0")
+TRANSFORMS = tuple(ROOT_TYPE)
 
 # complex-transform (adds, muls) by periodization, classical recursion
 CLASSICAL_CDFT_COUNTS = {
@@ -32,12 +33,6 @@ IMPROVED_CDFT_COUNTS = {
     128: (2308, 516), 256: (5380, 1284), 512: (12292, 3076),
     1024: (27652, 7172), 2048: (61444, 16388),
 }
-
-
-def _lg(N):
-    if N < 2 or N & (N - 1):
-        raise ValueError(f"periodization must be a power of two >= 2, got {N}")
-    return N.bit_length() - 1
 
 
 def _exact(expr):
@@ -63,7 +58,8 @@ def transform_fn(algorithm, transform):
 def predicted_cost(algorithm, transform, N):
     """Closed-form (adds, muls) for one transform at periodization N."""
     _check_names(algorithm, transform)
-    lg = _lg(N)
+    check_type_n(ROOT_TYPE[transform], N)
+    lg = N.bit_length() - 1
     if algorithm == "classical":
         if transform != "cdft":
             raise ValueError("the classical closed form covers only cdft")
@@ -86,26 +82,17 @@ def predicted_cost(algorithm, transform, N):
         adds = _exact(Fraction(3, 4) * N * lg - Fraction(7, 4) * N + lg + 3)
         muls = _exact(Fraction(1, 4) * N * lg - Fraction(3, 4) * N + 1)
     else:  # dst0
-        if N < 4:
-            raise ValueError("the sine transform needs a periodization >= 4")
         adds = _exact(Fraction(3, 4) * N * lg - Fraction(7, 4) * N - lg + 3)
         muls = _exact(Fraction(1, 4) * N * lg - Fraction(3, 4) * N + 1)
     return (adds, muls)
 
 
-def _input_for(transform, N):
-    """Ones of the transform's stored length: a count does not depend on the
-    samples, and drawing random ones would import numpy.random."""
-    if transform == "cdft":
-        return np.ones(N, dtype=np.complex128)
-    length = {"rdft": N, "dct0": N // 2 + 1, "dst0": N // 2 - 1}[transform]
-    return np.ones(length)
-
-
 def measured_cost(algorithm, transform, N):
     """(adds, muls) observed by running the instrumented transform once."""
     fn = transform_fn(algorithm, transform)
-    x = _input_for(transform, N)
+    # ones: a count does not depend on the samples, and drawing random
+    # ones would import numpy.random
+    x = np.ones(stored_length(transform, N))
     table = build_trig_table(algorithm, N, np.float64)
     counter = OpCounter()
     fn(x, table=table, counter=counter)

@@ -66,19 +66,21 @@ in a core's cache; a call whose blocks would hold less than
 MIN_BLOCK_ROW_BYTES of each row, as at large N, runs as one block.
 Columns are independent signals, so blocks change no bit of any result,
 count or constant footprint.  A call whose columns fit one block, every
-1-D call among them, runs as before: its output is allocated only once
+1-D call among them, runs as one: its output is allocated only once
 its spectra exist, and its peak is about 2.3 times its input's bytes.  A
-wider call allocates its one output first and writes each block's result
-into that output's columns, so its peak is the output plus one block's
-working set.
+wider call allocates its one output once the first block's result
+exists, copies that result in and writes each later block's result
+straight into the output's columns, so its peak is the output plus one
+block's working set.
 
 Input contract of the public transforms: one signal as a 1-D array, or
 independent signals as the columns of a 2-D array.  cdft takes any
 numeric samples and works in complex64 for complex64 input, complex128
 otherwise; rdft/dct0/dst0 take real samples and work in float32 for
-float32 input, float64 otherwise.  Any other number of dimensions,
-complex samples for a real transform, or a stored length that does not
-give a power-of-two periodization raises ValueError.
+float32 input, float64 otherwise.  taxonomy.ROOT_TYPE, stored_length and
+periodization state the input lengths and their periodization N.  Any
+other number of dimensions, complex samples for a real transform, or a
+length that periodization rejects raises ValueError.
 
 Buffer convention: every internal buffer is 2-D and real, rows by
 columns, one signal per column, and cell n of a column holds s(n).  The
@@ -103,7 +105,7 @@ from .elaborations import (
     split_time_parity_backward,
     split_time_parity_forward,
 )
-from .taxonomy import ln
+from .taxonomy import ROOT_TYPE, ln, periodization
 
 # one entry of a step table; the module docstring gives the fields
 Step = namedtuple("Step", "leaf children via base forward backward")
@@ -294,18 +296,19 @@ def complex_spectrum(z, N, steps, table, counter, out=None):
 
     cx_tt -> re_tt, re_tt: the real parts sit in the first cols columns
     and the imaginary parts in the rest, so one stacked fold and one
-    stacked pair of recursions transform both.  The spectrum is written
-    into out, or into a new array, allocated once both real spectra
-    exist, when out is None.
+    stacked pair of recursions transform both.  z may hold any numeric
+    samples: the stacking casts them to the table's dtype.  The spectrum
+    is written into out, or into a new array, allocated once both real
+    spectra exist, when out is None.
     """
     cols = z.shape[1]
-    spec_c, spec_s = real_spectra([np.concatenate((z.real, z.imag), axis=1)],
+    spec_c, spec_s = real_spectra([np.concatenate((z.real, z.imag), axis=1, dtype=table.dtype)],
                                   N, steps, table, counter)
     m = N // 2
     c1, c2 = spec_c[:, :cols], spec_c[:, cols:]  # cosine spectra of Re and Im
     s1, s2 = spec_s[:, :cols], spec_s[:, cols:]  # sine spectra of Re and Im
     if out is None:
-        out = np.empty(z.shape, z.dtype)
+        out = np.empty(z.shape, _complex_of(table.dtype))
     re, im = out.real, out.imag
     # harmonics 0 and N/2 are real in each component's spectrum: plain copies
     re[0], im[0] = c1[0], c2[0]
@@ -381,43 +384,59 @@ def _block_width(rows, cols, itemsize):
     return -(-cols // max(round(cols / width), 1))
 
 
-def _in_blocks(x, out_rows, out_dtype, run, *args):
+def _in_blocks(x, dtype, run, *args):
     """run(x, *args, None) over the columns of x, one block at a time.
 
-    run(block, *args, out) transforms a block of columns and writes the
-    result into out, or into an array of its own when out is None: a
-    call of one block.  The module docstring gives the order of
-    allocation.  The arguments are passed on rather than bound in a
-    closure, which would stay allocated through every call.
+    run(block, *args, out) transforms a block of columns, whose samples
+    it works in dtype, and writes the result into out, or into an array
+    of its own when out is None, as for the first block.  The module
+    docstring gives the order of allocation.  The arguments are passed
+    on rather than bound in a closure, which would stay allocated
+    through every call.
     """
     cols = x.shape[1]
-    width = _block_width(*x.shape, x.dtype.itemsize)
+    width = _block_width(*x.shape, np.dtype(dtype).itemsize)
+    first = run(x[:, :width], *args, None)
     if cols <= width:
-        return run(x, *args, None)
-    out = np.empty((out_rows, cols), out_dtype)
-    for c0 in range(0, cols, width):
+        return first
+    out = np.empty((first.shape[0], cols), first.dtype)
+    out[:, :width] = first
+    first = None
+    for c0 in range(width, cols, width):
         run(x[:, c0:c0 + width], *args, out[:, c0:c0 + width])
     return out
 
 
 # -- public entry points ----------------------------------------------------
 
-def _resolve(dtype, table, counter):
-    if table is None:
-        table = TrigTable(dtype=dtype)  # a constructor only: the constants are cached
-    if np.dtype(table.dtype) != dtype:
-        raise ValueError(f"table dtype {table.dtype} does not match input dtype {dtype}")
-    if counter is None:
-        counter = OpCounter()
-    return table, counter
+def _prepare(values, transform, table, counter):
+    """(samples, N, table, counter) of a call to transform, or ValueError.
 
-
-def _signal(values):
+    The module docstring gives the input contract.
+    """
     x = np.asarray(values)
     if x.ndim not in (1, 2):
         raise ValueError(f"expected one signal (1-D) or columns of signals (2-D), "
                          f"got a {x.ndim}-D array")
-    return x
+    if transform == "cdft":
+        dtype = np.dtype(np.float32 if x.dtype == np.complex64 else np.float64)
+        # complex_spectrum casts numeric samples block by block, but the
+        # .real of an object array is that array itself
+        if x.dtype.kind not in "biufc":
+            x = x.astype(_complex_of(dtype))
+    else:
+        # an object array hides its elements' type from iscomplexobj
+        if np.iscomplexobj(x) or (x.dtype == object and any(map(np.iscomplexobj, x.flat))):
+            raise ValueError("this transform takes real samples; use cdft for complex ones")
+        if x.dtype not in (np.float32, np.float64):
+            x = x.astype(np.float64)
+        dtype = x.dtype
+    N = periodization(transform, x.shape[0])
+    if table is None:
+        table = TrigTable(dtype=dtype)  # a constructor only: the constants are cached
+    if np.dtype(table.dtype) != dtype:
+        raise ValueError(f"table dtype {table.dtype} does not match input dtype {dtype}")
+    return x, N, table, OpCounter() if counter is None else counter
 
 
 def _columns(x):
@@ -428,25 +447,6 @@ def _columns(x):
 def _shaped_like(out, x):
     """out with x's number of dimensions: one column back to a 1-D signal."""
     return out[:, 0] if x.ndim == 1 else out
-
-
-def _prep_real(values, min_n, kind):
-    x = _signal(values)
-    # an object array hides its elements' type from iscomplexobj
-    if np.iscomplexobj(x) or (x.dtype == object and any(map(np.iscomplexobj, x.flat))):
-        raise ValueError("this transform takes real samples; use cdft for complex ones")
-    if x.dtype not in (np.float32, np.float64):
-        x = x.astype(np.float64)
-    n_vals = x.shape[0]
-    if kind == "full":
-        N = n_vals
-    elif kind == "dc":
-        N = 2 * (n_vals - 1)
-    else:
-        N = 2 * (n_vals + 1)
-    if N < min_n or N & (N - 1):
-        raise ValueError(f"stored length {n_vals} does not give a power-of-two periodization >= {min_n}")
-    return x, N
 
 
 def entry_points(module, steps):
@@ -461,36 +461,27 @@ def entry_points(module, steps):
 
     def cdft(values, table=None, counter=None):
         """complex DFT, reported for k = 0..N-1."""
-        z = _signal(values)
-        dtype = np.float32 if z.dtype == np.complex64 else np.float64
-        z = np.asarray(z, dtype=_complex_of(dtype))
-        N = z.shape[0]
-        if N < 2 or N & (N - 1):
-            raise ValueError(f"periodization must be a power of two >= 2, got {N}")
-        table, counter = _resolve(np.dtype(dtype), table, counter)
-        return _shaped_like(_in_blocks(_columns(z), N, z.dtype, complex_spectrum,
+        z, N, table, counter = _prepare(values, "cdft", table, counter)
+        return _shaped_like(_in_blocks(_columns(z), _complex_of(table.dtype), complex_spectrum,
                                        N, steps, table, counter), z)
 
     def rdft(values, table=None, counter=None):
         """real-input DFT, reported for k = 0..N/2."""
-        x, N = _prep_real(values, 2, "full")
-        table, counter = _resolve(x.dtype, table, counter)
-        return _shaped_like(_in_blocks(_columns(x), N // 2 + 1, _complex_of(x.dtype),
-                                       half_spectrum, N, steps, table, counter), x)
+        x, N, table, counter = _prepare(values, "rdft", table, counter)
+        return _shaped_like(_in_blocks(_columns(x), x.dtype, half_spectrum,
+                                       N, steps, table, counter), x)
 
     def dct0(values, table=None, counter=None):
         """cosine transform; values are s(0)..s(N/2)."""
-        x, N = _prep_real(values, 2, "dc")
-        table, counter = _resolve(x.dtype, table, counter)
-        return _shaped_like(_in_blocks(_columns(x), N // 2 + 1, x.dtype, one_recursion,
-                                       "dc_tt", N, steps, table, counter), x)
+        x, N, table, counter = _prepare(values, "dct0", table, counter)
+        return _shaped_like(_in_blocks(_columns(x), x.dtype, one_recursion,
+                                       ROOT_TYPE["dct0"], N, steps, table, counter), x)
 
     def dst0(values, table=None, counter=None):
         """sine transform; values are s(1)..s(N/2-1)."""
-        x, N = _prep_real(values, 4, "ds")
-        table, counter = _resolve(x.dtype, table, counter)
-        return _shaped_like(_in_blocks(_columns(x), N // 2 - 1, x.dtype, one_recursion,
-                                       "ds_tt", N, steps, table, counter), x)
+        x, N, table, counter = _prepare(values, "dst0", table, counter)
+        return _shaped_like(_in_blocks(_columns(x), x.dtype, one_recursion,
+                                       ROOT_TYPE["dst0"], N, steps, table, counter), x)
 
     fns = (cdft, rdft, dct0, dst0)
     for fn in fns:

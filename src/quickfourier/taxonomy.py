@@ -37,9 +37,14 @@ MIN_N = {
 }
 
 
+# the root type whose recursion each public transform runs; its stored
+# time samples are the transform's input and its stored harmonics the output
+ROOT_TYPE = {"cdft": "cx_tt", "rdft": "re_tt", "dct0": "dc_tt", "dst0": "ds_tt"}
+
+
 def transform_kind(sig_type):
     """Transform family a root of this type belongs to."""
-    return {"cx": "cdft", "re": "rdft", "dc": "dct0", "ds": "dst0"}[sig_type[:2]]
+    return {root[:2]: t for t, root in ROOT_TYPE.items()}[sig_type[:2]]
 
 
 def is_power_of_two(n):
@@ -134,6 +139,29 @@ def lk(sig_type, N):
     if sig_type == "re_tt":
         return 2 * cells - 2
     return cells
+
+
+# cached as ln/lk are: every call of a public transform asks for it at
+# each power of two up to its N
+@cache
+def stored_length(transform, N):
+    """Samples a transform's input stores at periodization N."""
+    return len(sto_n(ROOT_TYPE[transform], N))
+
+
+def periodization(transform, length):
+    """The N, a power of two ROOT_TYPE[transform] admits, at which a
+    transform's input stores length samples, or ValueError if none does."""
+    root = ROOT_TYPE[transform]
+    N = MIN_N[root]
+    # stored lengths grow with N: the first N whose length reaches length
+    # is the only candidate
+    while stored_length(transform, N) < length:
+        N *= 2
+    if stored_length(transform, N) != length:
+        raise ValueError(f"stored length {length} does not give a power-of-two "
+                         f"periodization >= {MIN_N[root]}")
+    return N
 
 
 @dataclass(frozen=True)

@@ -61,8 +61,6 @@ class TreeNode:
         return not self.children
 
 
-_ROOT_TYPE = {"cdft": "cx_tt", "rdft": "re_tt", "dct0": "dc_tt", "dst0": "ds_tt"}
-
 # the drivers around the step tables: a complex transform runs one real
 # transform per component, a real one folds into a cosine and a sine part
 _DRIVERS = {"cx_tt": ("re_tt", "re_tt"), "re_tt": ("dc_tt", "ds_tt")}
@@ -102,13 +100,10 @@ def build_tree(algorithm, transform, N):
     """Decomposition tree for one transform at periodization N."""
     if algorithm not in ("classical", "improved"):
         raise ValueError(f"algorithm must be classical or improved, got {algorithm!r}")
-    if transform not in _ROOT_TYPE:
-        raise ValueError(f"transform must be one of {sorted(_ROOT_TYPE)}")
-    if N < 2 or N & (N - 1):
-        raise ValueError(f"periodization must be a power of two >= 2, got {N}")
-    if transform == "dst0" and N < 4:
-        raise ValueError("the sine transform needs a periodization >= 4")
-    root = TreeNode(_ROOT_TYPE[transform], N, "output")
+    if transform not in taxonomy.ROOT_TYPE:
+        raise ValueError(f"transform must be one of {sorted(taxonomy.ROOT_TYPE)}")
+    taxonomy.check_type_n(taxonomy.ROOT_TYPE[transform], N)
+    root = TreeNode(taxonomy.ROOT_TYPE[transform], N, "output")
     _expand(root, _ALGORITHMS[algorithm].STEPS)
     _assign_labels(root)
     return root

@@ -1,17 +1,21 @@
 import numpy as np
 import pytest
 
+from quickfourier import classical, improved
 from quickfourier.taxonomy import (
     MIN_N,
+    ROOT_TYPE,
     SIGNAL_TYPES,
     SignalView,
     buffer_slot_freq,
     buffer_slot_time,
     lk,
     ln,
+    periodization,
     sto_k,
     sto_n,
     storage_sizes,
+    stored_length,
     transform_kind,
 )
 
@@ -82,6 +86,37 @@ def test_transform_kind():
     assert transform_kind("re_tt") == "rdft"
     assert transform_kind("dc_oo") == "dct0"
     assert transform_kind("ds_e1o") == "dst0"
+    for transform, root in ROOT_TYPE.items():
+        assert transform_kind(root) == transform
+
+
+@pytest.mark.parametrize("transform", sorted(ROOT_TYPE))
+def test_periodization_inverts_stored_length(transform):
+    root = ROOT_TYPE[transform]
+    for lg in range(1, 17):
+        N = 1 << lg
+        if N < MIN_N[root]:
+            with pytest.raises(ValueError):
+                stored_length(transform, N)
+            continue
+        assert stored_length(transform, N) == len(sto_n(root, N))
+        assert periodization(transform, stored_length(transform, N)) == N
+
+
+@pytest.mark.parametrize("transform", sorted(ROOT_TYPE))
+@pytest.mark.parametrize("module", [classical, improved], ids=["classical", "improved"])
+def test_entry_points_take_exactly_the_stored_lengths(module, transform):
+    # taxonomy is the one statement of lengths: a call rejects exactly the
+    # lengths periodization rejects, and returns its root's stored harmonics
+    fn = getattr(module, transform)
+    for length in range(4101):
+        try:
+            N = periodization(transform, length)
+        except ValueError:
+            with pytest.raises(ValueError):
+                fn(np.zeros(length))
+            continue
+        assert fn(np.zeros(length)).shape == (len(sto_k(ROOT_TYPE[transform], N)),)
 
 
 @pytest.mark.parametrize("sig_type", SIGNAL_TYPES)
