@@ -9,7 +9,7 @@ float32 rounding-error harness.
 """
 
 from . import accuracy, classical, costmodel, improved, reference, taxonomy, tree
-from .counting import OpCounter, TrigTable, build_trig_table
+from .counting import OpCounter, TrigTable
 
 __version__ = "0.1.0"
 
@@ -23,6 +23,5 @@ __all__ = [
     "tree",
     "OpCounter",
     "TrigTable",
-    "build_trig_table",
     "__version__",
 ]

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import costmodel, reference
-from .counting import OpCounter, build_trig_table
+from .counting import OpCounter, TrigTable
 
 DEFAULT_SEED = 1234
 DEFAULT_SIZES = (256, 1024, 4096)
@@ -72,9 +72,11 @@ def run_accuracy(algorithm, N, trials=DEFAULT_TRIALS, seed=DEFAULT_SEED,
     fn = costmodel.transform_fn(algorithm, "cdft")
     if inputs is None:
         inputs = random_complex_batch(N, seed, trials, np.complex64)
+    if inputs.shape[1] == 0:
+        raise ValueError("the accuracy experiment needs at least one trial")
     if oracle is None:
-        oracle = reference.cdft_naive_batch(inputs.astype(np.complex128))
-    table = build_trig_table(algorithm, N, np.float32, pipeline=pipeline)
+        oracle = reference.cdft_naive(inputs.astype(np.complex128))
+    table = TrigTable(np.float32, pipeline)
     got = fn(inputs, table=table, counter=OpCounter())
     errs = relative_rms_error(got, oracle)
     mean = math.fsum(float(e) for e in errs) / len(errs)
@@ -87,8 +89,8 @@ def accuracy_experiment(sizes=DEFAULT_SIZES, trials=DEFAULT_TRIALS,
     rows = []
     for N in sizes:
         inputs = random_complex_batch(N, seed, trials, np.complex64)
-        oracle = reference.cdft_naive_batch(inputs.astype(np.complex128))
-        for algorithm in ("classical", "improved"):
+        oracle = reference.cdft_naive(inputs.astype(np.complex128))
+        for algorithm in costmodel.ALGORITHMS:
             rows.append(run_accuracy(algorithm, N, trials, seed, pipeline,
                                      inputs=inputs, oracle=oracle))
     return rows
@@ -102,7 +104,7 @@ def pipeline_comparison(algorithm, N, trials=DEFAULT_TRIALS, seed=DEFAULT_SEED):
     magnifies the angle rounding.
     """
     inputs = random_complex_batch(N, seed, trials, np.complex64)
-    oracle = reference.cdft_naive_batch(inputs.astype(np.complex128))
+    oracle = reference.cdft_naive(inputs.astype(np.complex128))
     two = run_accuracy(algorithm, N, trials, seed, "two_tier", inputs, oracle)
     one = run_accuracy(algorithm, N, trials, seed, "single_tier", inputs, oracle)
     return two, one

@@ -18,7 +18,7 @@ import sys
 import numpy as np
 
 from . import accuracy, costmodel, reference, tree
-from .counting import OpCounter, build_trig_table
+from .counting import OpCounter, TrigTable
 from .taxonomy import stored_length
 
 
@@ -59,28 +59,19 @@ def _read_samples_file(path):
     return values
 
 
-def _coerce_input(transform, values):
-    arr = np.asarray(values)
-    if transform == "cdft":
-        return arr.astype(np.complex128)
-    if np.iscomplexobj(arr):
-        if np.any(arr.imag != 0):
-            raise ValueError(f"{transform} takes real samples")
-        arr = arr.real
-    return arr.astype(np.float64)
-
-
 def _gather_input(args):
     if args.input is not None:
-        return _coerce_input(args.transform, _read_samples_file(args.input))
+        return np.asarray(_read_samples_file(args.input))
     if args.inline is not None:
         try:
             values = ast.literal_eval(args.inline)
         except (SyntaxError, ValueError) as exc:
             raise ValueError(f"could not parse inline samples: {exc}") from None
-        if not isinstance(values, (list, tuple)):
-            raise ValueError("inline samples must be a [..] list")
-        return _coerce_input(args.transform, list(values))
+        # the spectrum is printed as one signal, so one flat list of them
+        x = np.asarray(values)
+        if x.ndim != 1:
+            raise ValueError("inline samples must be a flat [..] list")
+        return x
     if args.n is None:
         raise ValueError("--impulse and --random need --n")
     length = stored_length(args.transform, args.n)
@@ -170,7 +161,7 @@ def _run_selftest(args):
         print(f"ok {algorithm} matches the brute-force spectrum ({err:.3g})")
 
     for algorithm, want in (("classical", 63), ("improved", 64)):
-        table = build_trig_table(algorithm, 256, np.float64)
+        table = TrigTable(np.float64)
         z = rng.uniform(-0.5, 0.5, 256) + 1j * rng.uniform(-0.5, 0.5, 256)
         costmodel.transform_fn(algorithm, "cdft")(z, table=table, counter=OpCounter())
         if table.touched_count() != want:

@@ -14,10 +14,11 @@ from fractions import Fraction
 import numpy as np
 
 from . import classical, improved
-from .counting import OpCounter, build_trig_table
+from .counting import OpCounter
 from .taxonomy import ROOT_TYPE, check_type_n, stored_length
 
-ALGORITHMS = ("classical", "improved")
+# the one list of recursions: every other module reads its names here
+ALGORITHMS = {"classical": classical, "improved": improved}
 TRANSFORMS = tuple(ROOT_TYPE)
 
 # complex-transform (adds, muls) by periodization, classical recursion
@@ -42,22 +43,23 @@ def _exact(expr):
     return int(expr)
 
 
-def _check_names(algorithm, transform):
+def check_names(algorithm, transform):
+    """ValueError unless both names are ones this package knows."""
     if algorithm not in ALGORITHMS:
-        raise ValueError(f"algorithm must be one of {ALGORITHMS}, got {algorithm!r}")
+        raise ValueError(f"algorithm must be one of {tuple(ALGORITHMS)}, got {algorithm!r}")
     if transform not in TRANSFORMS:
         raise ValueError(f"transform must be one of {TRANSFORMS}, got {transform!r}")
 
 
 def transform_fn(algorithm, transform):
     """The public function for one transform of one algorithm, e.g. improved.cdft."""
-    _check_names(algorithm, transform)
-    return getattr(classical if algorithm == "classical" else improved, transform)
+    check_names(algorithm, transform)
+    return getattr(ALGORITHMS[algorithm], transform)
 
 
 def predicted_cost(algorithm, transform, N):
     """Closed-form (adds, muls) for one transform at periodization N."""
-    _check_names(algorithm, transform)
+    check_names(algorithm, transform)
     check_type_n(ROOT_TYPE[transform], N)
     lg = N.bit_length() - 1
     if algorithm == "classical":
@@ -93,9 +95,8 @@ def measured_cost(algorithm, transform, N):
     # ones: a count does not depend on the samples, and drawing random
     # ones would import numpy.random
     x = np.ones(stored_length(transform, N))
-    table = build_trig_table(algorithm, N, np.float64)
     counter = OpCounter()
-    fn(x, table=table, counter=counter)
+    fn(x, counter=counter)
     return (counter.adds, counter.muls)
 
 

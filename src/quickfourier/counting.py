@@ -98,6 +98,8 @@ class TrigTable:
     cos(2 pi / 8).  The numeric value of that named entry equals the
     half-secant at 1/8 (both are sqrt(2)/2), but it is its own entry:
     footprint audits count constant definitions, not distinct reals.
+    A transform at periodization N logs the half-secants at m/N for
+    m = 1..N/4-1; the improved one adds the eighth-turn cosine.
 
     pipeline "two_tier" evaluates each constant in a wider precision and
     rounds once to the working dtype; "single_tier" performs every step
@@ -186,16 +188,3 @@ class TrigTable:
     def reset_log(self):
         self._log = {}
 
-
-def build_trig_table(algorithm, N, dtype=np.float64, pipeline="two_tier"):
-    """A fresh table, its access log empty, for a full transform at periodization N.
-
-    Both algorithms draw on the half-secants at the reduced fractions
-    m/N for m = 1..N/4-1; the improved algorithm adds the eighth-turn
-    cosine for its smallest odd-odd stages.  A following run's log can
-    then be audited against that footprint.  Nothing is precomputed: the
-    shared cache evaluates each vector of constants on its first lookup.
-    """
-    if algorithm not in ("classical", "improved"):
-        raise ValueError("algorithm must be 'classical' or 'improved'")
-    return TrigTable(dtype=dtype, pipeline=pipeline)

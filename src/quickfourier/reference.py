@@ -4,8 +4,9 @@ Direct evaluation of the defining sums, used as oracles for the fast
 algorithms.  Every variant reduces the trig argument index modulo the
 periodization before calling the library cos/sin, which keeps the
 O(N^2) sums accurate enough to judge a fast transform at double
-precision.  The batch variants evaluate many signals against chunks of
-the coefficient matrix so large oracle runs stay within time and memory
+precision.  Each oracle takes one signal as a vector, or many as the
+columns of a matrix, and evaluates them against chunks of the
+coefficient matrix so large oracle runs stay within time and memory
 budgets; the compensated variants use exact per-term summation and exist
 for small cross-checks of the oracles themselves.
 """
@@ -20,6 +21,7 @@ _CHUNK = 256
 
 
 def _as_columns(x, dtype):
+    """(x as columns, whether x was one 1-D signal)."""
     x = np.asarray(x, dtype=dtype)
     if x.ndim == 1:
         return x[:, None], True
@@ -28,9 +30,9 @@ def _as_columns(x, dtype):
     raise ValueError("expected a signal vector or a (values, signals) matrix")
 
 
-def cdft_naive_batch(x):
+def cdft_naive(x):
     """Full complex DFT of each column: S(k) = sum_n s(n) e^(-2 pi i n k / N)."""
-    X, _ = _as_columns(x, np.complex128)
+    X, single = _as_columns(x, np.complex128)
     N = X.shape[0]
     n = np.arange(N, dtype=np.int64)
     out = np.empty_like(X)
@@ -39,18 +41,12 @@ def cdft_naive_batch(x):
         kn = (ks[:, None] * n[None, :]) % N
         w = np.exp((-2j * np.pi / N) * kn)
         out[ks] = w @ X
-    return out
-
-
-def cdft_naive(x):
-    X, single = _as_columns(x, np.complex128)
-    out = cdft_naive_batch(X)
     return out[:, 0] if single else out
 
 
-def rdft_naive_batch(x):
+def rdft_naive(x):
     """Real-input DFT of each column, reported for k = 0..N/2."""
-    X, _ = _as_columns(x, np.float64)
+    X, single = _as_columns(x, np.float64)
     N = X.shape[0]
     n = np.arange(N, dtype=np.int64)
     out = np.empty((N // 2 + 1,) + X.shape[1:], dtype=np.complex128)
@@ -59,12 +55,6 @@ def rdft_naive_batch(x):
         kn = (ks[:, None] * n[None, :]) % N
         w = np.exp((-2j * np.pi / N) * kn)
         out[ks] = w @ X
-    return out
-
-
-def rdft_naive(x):
-    X, single = _as_columns(x, np.float64)
-    out = rdft_naive_batch(X)
     return out[:, 0] if single else out
 
 
@@ -74,9 +64,9 @@ def _cosine_matrix(ks, ns, N, kind):
     return np.cos(ang) if kind == "cos" else np.sin(ang)
 
 
-def dct0_naive_batch(x, N=None):
+def dct0_naive(x, N=None):
     """Even-symmetric real transform: S(k) = sum_{n=0..N/2} s(n) cos(2 pi n k / N)."""
-    X, _ = _as_columns(x, np.float64)
+    X, single = _as_columns(x, np.float64)
     if N is None:
         N = 2 * (X.shape[0] - 1)
     if X.shape[0] != N // 2 + 1:
@@ -86,18 +76,12 @@ def dct0_naive_batch(x, N=None):
     for k0 in range(0, N // 2 + 1, _CHUNK):
         ks = np.arange(k0, min(k0 + _CHUNK, N // 2 + 1), dtype=np.int64)
         out[ks] = _cosine_matrix(ks, ns, N, "cos") @ X
-    return out
-
-
-def dct0_naive(x, N=None):
-    X, single = _as_columns(x, np.float64)
-    out = dct0_naive_batch(X, N)
     return out[:, 0] if single else out
 
 
-def dst0_naive_batch(x, N=None):
+def dst0_naive(x, N=None):
     """Odd-symmetric real transform: S(k) = sum_{n=1..N/2-1} s(n) sin(2 pi n k / N)."""
-    X, _ = _as_columns(x, np.float64)
+    X, single = _as_columns(x, np.float64)
     if N is None:
         N = 2 * (X.shape[0] + 1)
     if X.shape[0] != N // 2 - 1:
@@ -107,12 +91,6 @@ def dst0_naive_batch(x, N=None):
     for k0 in range(1, N // 2, _CHUNK):
         ks = np.arange(k0, min(k0 + _CHUNK, N // 2), dtype=np.int64)
         out[ks - 1] = _cosine_matrix(ks, ns, N, "sin") @ X
-    return out
-
-
-def dst0_naive(x, N=None):
-    X, single = _as_columns(x, np.float64)
-    out = dst0_naive_batch(X, N)
     return out[:, 0] if single else out
 
 

@@ -74,13 +74,14 @@ straight into the output's columns, so its peak is the output plus one
 block's working set.
 
 Input contract of the public transforms: one signal as a 1-D array, or
-independent signals as the columns of a 2-D array.  cdft takes any
-numeric samples and works in complex64 for complex64 input, complex128
-otherwise; rdft/dct0/dst0 take real samples and work in float32 for
-float32 input, float64 otherwise.  taxonomy.ROOT_TYPE, stored_length and
-periodization state the input lengths and their periodization N.  Any
-other number of dimensions, complex samples for a real transform, or a
-length that periodization rejects raises ValueError.
+independent signals as the columns of a 2-D array, of a numeric dtype
+(bool, integer, float or complex).  cdft works in complex64 for
+complex64 input, complex128 otherwise; rdft/dct0/dst0 take real samples
+and work in float32 for float32 input, float64 otherwise.
+taxonomy.ROOT_TYPE, stored_length and periodization state the input
+lengths and their periodization N.  Any other number of dimensions, any
+other dtype (object, strings, ...), complex samples for a real
+transform, or a length that periodization rejects raises ValueError.
 
 Buffer convention: every internal buffer is 2-D and real, rows by
 columns, one signal per column, and cell n of a column holds s(n).  The
@@ -418,15 +419,12 @@ def _prepare(values, transform, table, counter):
     if x.ndim not in (1, 2):
         raise ValueError(f"expected one signal (1-D) or columns of signals (2-D), "
                          f"got a {x.ndim}-D array")
+    if x.dtype.kind not in "biufc":
+        raise ValueError(f"samples must be of a numeric dtype, got {x.dtype}")
     if transform == "cdft":
         dtype = np.dtype(np.float32 if x.dtype == np.complex64 else np.float64)
-        # complex_spectrum casts numeric samples block by block, but the
-        # .real of an object array is that array itself
-        if x.dtype.kind not in "biufc":
-            x = x.astype(_complex_of(dtype))
     else:
-        # an object array hides its elements' type from iscomplexobj
-        if np.iscomplexobj(x) or (x.dtype == object and any(map(np.iscomplexobj, x.flat))):
+        if x.dtype.kind == "c":
             raise ValueError("this transform takes real samples; use cdft for complex ones")
         if x.dtype not in (np.float32, np.float64):
             x = x.astype(np.float64)

@@ -60,6 +60,11 @@ def check_type_n(sig_type, N):
         raise ValueError(f"type {sig_type} needs N >= {MIN_N[sig_type]}, got {N}")
 
 
+# the index sets and the sizes below are pure in (type, N); tree building,
+# its audit, SignalView and the oracle ask for the same few keys tens of
+# thousands of times, and the keys are bounded by the twenty types times
+# the powers of two
+@cache
 def sto_n(sig_type, N):
     """Stored time indices, as a range in increasing order."""
     check_type_n(sig_type, N)
@@ -88,6 +93,7 @@ def sto_n(sig_type, N):
     }[sig_type]
 
 
+@cache
 def sto_k(sig_type, N):
     """Stored harmonic indices, as a range in increasing order."""
     check_type_n(sig_type, N)
@@ -116,9 +122,6 @@ def sto_k(sig_type, N):
     }[sig_type]
 
 
-# ln/lk are pure in (type, N), and tree building and its audit ask for the
-# same few sizes tens of thousands of times; the keys are bounded by the
-# twenty types times the powers of two
 @cache
 def ln(sig_type, N):
     """Real storage cells needed for the stored time samples."""
@@ -141,8 +144,8 @@ def lk(sig_type, N):
     return cells
 
 
-# cached as ln/lk are: every call of a public transform asks for it at
-# each power of two up to its N
+# every call of a public transform asks for it at each power of two up
+# to its N
 @cache
 def stored_length(transform, N):
     """Samples a transform's input stores at periodization N."""

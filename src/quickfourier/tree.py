@@ -28,8 +28,7 @@ decomposition recurses into.
 
 from dataclasses import dataclass, field
 
-from . import classical, improved
-from . import taxonomy
+from . import costmodel, taxonomy
 
 
 @dataclass
@@ -65,8 +64,6 @@ class TreeNode:
 # transform per component, a real one folds into a cosine and a sine part
 _DRIVERS = {"cx_tt": ("re_tt", "re_tt"), "re_tt": ("dc_tt", "ds_tt")}
 
-_ALGORITHMS = {"classical": classical, "improved": improved}
-
 
 def _expand(node, steps):
     """Attach children and intermediates, read from the step table."""
@@ -98,13 +95,10 @@ def _split(steps, t, N):
 
 def build_tree(algorithm, transform, N):
     """Decomposition tree for one transform at periodization N."""
-    if algorithm not in ("classical", "improved"):
-        raise ValueError(f"algorithm must be classical or improved, got {algorithm!r}")
-    if transform not in taxonomy.ROOT_TYPE:
-        raise ValueError(f"transform must be one of {sorted(taxonomy.ROOT_TYPE)}")
+    costmodel.check_names(algorithm, transform)
     taxonomy.check_type_n(taxonomy.ROOT_TYPE[transform], N)
     root = TreeNode(taxonomy.ROOT_TYPE[transform], N, "output")
-    _expand(root, _ALGORITHMS[algorithm].STEPS)
+    _expand(root, costmodel.ALGORITHMS[algorithm].STEPS)
     _assign_labels(root)
     return root
 

@@ -9,7 +9,7 @@ import time
 import numpy as np
 
 from quickfourier import accuracy, classical, costmodel, improved, reference, tree
-from quickfourier.counting import OpCounter, build_trig_table
+from quickfourier.counting import OpCounter, TrigTable
 from quickfourier.taxonomy import (
     MIN_N,
     SIGNAL_TYPES,
@@ -100,25 +100,25 @@ def test_criterion_4_matches_brute_force():
         trials, seed = 20, 99
         for N in _sizes(4, 4096):
             zc = accuracy.random_complex_batch(N, seed, trials, np.complex128)
-            want = reference.cdft_naive_batch(zc)
+            want = reference.cdft_naive(zc)
             for module in (classical, improved):
                 errs = accuracy.relative_rms_error(module.cdft(zc), want)
                 assert np.max(errs) <= 1e-11
 
             xr = accuracy.random_real_batch(N, seed + 1, trials)
-            want = reference.rdft_naive_batch(xr)
+            want = reference.rdft_naive(xr)
             for module in (classical, improved):
                 errs = accuracy.relative_rms_error(module.rdft(xr), want)
                 assert np.max(errs) <= 1e-11
 
             xc = accuracy.random_real_batch(N // 2 + 1, seed + 2, trials)
-            want = reference.dct0_naive_batch(xc)
+            want = reference.dct0_naive(xc)
             for module in (classical, improved):
                 errs = accuracy.relative_rms_error(module.dct0(xc), want)
                 assert np.max(errs) <= 1e-11
 
             xs = accuracy.random_real_batch(N // 2 - 1, seed + 3, trials)
-            want = reference.dst0_naive_batch(xs)
+            want = reference.dst0_naive(xs)
             for module in (classical, improved):
                 errs = accuracy.relative_rms_error(module.dst0(xs), want)
                 assert np.max(errs) <= 1e-11
@@ -138,7 +138,7 @@ def test_criterion_5_constant_footprint():
             for algorithm, module, want in (
                     ("classical", classical, N // 4 - 1),
                     ("improved", improved, N // 4)):
-                table = build_trig_table(algorithm, N, np.float64)
+                table = TrigTable(np.float64)
                 module.cdft(z, table=table, counter=OpCounter())
                 assert table.touched_count() == want, (
                     f"{algorithm} N={N}: {table.touched_count()} != {want}")

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from quickfourier import classical, reference
-from quickfourier.counting import OpCounter, build_trig_table
+from quickfourier.counting import OpCounter, TrigTable
 
 # complex transform (adds, muls) by periodization
 CDFT_COUNTS = {
@@ -122,7 +122,7 @@ def test_matches_naive_oracle(N):
 
 @pytest.mark.parametrize("N", [8, 16, 64, 256, 1024, 4096])
 def test_trig_footprint(N):
-    table = build_trig_table("classical", N, np.float64)
+    table = TrigTable(np.float64)
     z = np.random.default_rng(N).uniform(-0.5, 0.5, 2 * N).view(np.complex128)
     classical.cdft(z, table=table, counter=OpCounter())
     assert table.touched_count() == N // 4 - 1
@@ -132,7 +132,7 @@ def test_trig_footprint(N):
 
 def test_footprint_is_exactly_the_secant_slots():
     N = 64
-    table = build_trig_table("classical", N, np.float64)
+    table = TrigTable(np.float64)
     z = np.random.default_rng(1).uniform(-0.5, 0.5, 2 * N).view(np.complex128)
     classical.cdft(z, table=table, counter=OpCounter())
     want = set()
@@ -183,7 +183,7 @@ def test_validation_errors():
         classical.dst0(np.zeros(0))  # too short for N >= 4
     with pytest.raises(ValueError):
         # working dtype of the table must match the buffer dtype
-        table = build_trig_table("classical", 16, np.float32)
+        table = TrigTable(np.float32)
         classical.cdft(np.zeros(16, dtype=np.complex128), table=table)
     with pytest.raises(ValueError):
         classical.cdft(np.complex128(1))  # 0-d: no signal axis
@@ -196,9 +196,14 @@ def test_validation_errors():
     for fn, stored in ((classical.rdft, 16), (classical.dct0, 9), (classical.dst0, 7)):
         with pytest.raises(ValueError):
             fn(np.zeros(stored, dtype=np.complex128))
-        # an object array hides its complex elements from a dtype check
+        # an object array is refused whatever its elements
         with pytest.raises(ValueError):
             fn(np.array([1j] + [0] * (stored - 1), dtype=object))
+    # samples of no numeric dtype, which a cast would turn into NaNs
+    for fn, stored in ((classical.cdft, 4), (classical.rdft, 4),
+                       (classical.dct0, 3), (classical.dst0, 3)):
+        with pytest.raises(ValueError):
+            fn(np.array([1, None, 2, 3][:stored], dtype=object))
 
 
 def test_entry_points_report_their_module():

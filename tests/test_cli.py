@@ -109,6 +109,11 @@ def test_selftest(capsys):
     ["transform", "--transform", "cdft", "--inline", "not a list"],
     ["cost-table", "--algorithm", "classical", "--transform", "rdft"],
     ["tree", "--algorithm", "improved", "--n", "12"],
+    # complex samples for a real transform, even with zero imaginary parts
+    ["transform", "--transform", "rdft", "--inline", "[1,0j,3,4]"],
+    ["transform", "--transform", "cdft", "--inline", "[1, None, 2, 3]"],  # not numeric
+    ["transform", "--transform", "cdft", "--inline", "[[1,2],[3,4]]"],  # not one signal
+    ["accuracy", "--sizes", "16", "--trials", "0"],
 ])
 def test_validation_exits_one(argv, capsys):
     assert main(argv) == 1

@@ -6,7 +6,6 @@ import pytest
 from quickfourier.counting import (
     OpCounter,
     TrigTable,
-    build_trig_table,
     cadd,
     cmul,
     cmul_rows,
@@ -97,9 +96,7 @@ def test_single_tier_differs_near_quarter_turn():
 
 
 def test_build_table_footprints():
-    assert build_trig_table("classical", 8).touched_count() == 0  # log starts empty
-    with pytest.raises(ValueError):
-        build_trig_table("fastest", 8)
+    assert TrigTable(np.float64).touched_count() == 0  # log starts empty
 
 
 # pi to more digits than an 80-bit extended float holds, as in the table

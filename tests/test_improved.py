@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from quickfourier import improved, reference
-from quickfourier.counting import OpCounter, build_trig_table
+from quickfourier.counting import OpCounter, TrigTable
 
 # complex transform (adds, muls) by periodization
 CDFT_COUNTS = {
@@ -126,7 +126,7 @@ def test_agrees_with_classical_values():
 
 @pytest.mark.parametrize("N", [8, 16, 64, 256, 1024, 4096])
 def test_trig_footprint(N):
-    table = build_trig_table("improved", N, np.float64)
+    table = TrigTable(np.float64)
     z = np.random.default_rng(N).uniform(-0.5, 0.5, 2 * N).view(np.complex128)
     improved.cdft(z, table=table, counter=OpCounter())
     assert table.touched_count() == N // 4
@@ -135,7 +135,7 @@ def test_trig_footprint(N):
 def test_footprint_slots():
     # all the half-secant slots plus the eighth-turn cosine
     N = 64
-    table = build_trig_table("improved", N, np.float64)
+    table = TrigTable(np.float64)
     z = np.random.default_rng(1).uniform(-0.5, 0.5, 2 * N).view(np.complex128)
     improved.cdft(z, table=table, counter=OpCounter())
     want = {("cos8",)}
@@ -189,9 +189,14 @@ def test_validation_errors():
     for fn, stored in ((improved.rdft, 16), (improved.dct0, 9), (improved.dst0, 7)):
         with pytest.raises(ValueError):
             fn(np.zeros(stored, dtype=np.complex128))
-        # an object array hides its complex elements from a dtype check
+        # an object array is refused whatever its elements
         with pytest.raises(ValueError):
             fn(np.array([1j] + [0] * (stored - 1), dtype=object))
+    # samples of no numeric dtype, which a cast would turn into NaNs
+    for fn, stored in ((improved.cdft, 4), (improved.rdft, 4),
+                       (improved.dct0, 3), (improved.dst0, 3)):
+        with pytest.raises(ValueError):
+            fn(np.array([1, None, 2, 3][:stored], dtype=object))
 
 
 def test_entry_points_report_their_module():

@@ -5,16 +5,13 @@ import pytest
 
 from quickfourier.reference import (
     cdft_naive,
-    cdft_naive_batch,
     cdft_naive_compensated,
     dct0_naive,
-    dct0_naive_batch,
     dct0_naive_compensated,
     dst0_naive,
     dst0_naive_compensated,
     pruned_naive,
     rdft_naive,
-    rdft_naive_batch,
 )
 from quickfourier.taxonomy import SignalView
 
@@ -92,15 +89,15 @@ def test_compensated_agrees_with_frozen():
 def test_batch_matches_single():
     rng = np.random.default_rng(7)
     X = rng.standard_normal((16, 5)) + 1j * rng.standard_normal((16, 5))
-    batch = cdft_naive_batch(X)
+    batch = cdft_naive(X)
     for j in range(5):
         assert np.allclose(batch[:, j], cdft_naive(X[:, j]), atol=1e-13)
     R = rng.standard_normal((16, 3))
-    rb = rdft_naive_batch(R)
+    rb = rdft_naive(R)
     for j in range(3):
         assert np.allclose(rb[:, j], rdft_naive(R[:, j]), atol=1e-13)
     D = rng.standard_normal((9, 3))
-    db = dct0_naive_batch(D)
+    db = dct0_naive(D)
     for j in range(3):
         assert np.allclose(db[:, j], dct0_naive(D[:, j]), atol=1e-13)
 
