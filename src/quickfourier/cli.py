@@ -19,7 +19,7 @@ import numpy as np
 
 from . import accuracy, costmodel, reference, tree
 from .counting import OpCounter, TrigTable
-from .taxonomy import stored_length
+from .taxonomy import periodization, stored_length
 
 
 class _Parser(argparse.ArgumentParser):
@@ -59,18 +59,30 @@ def _read_samples_file(path):
     return values
 
 
+def _parse_inline(text):
+    try:
+        values = ast.literal_eval(text)
+    except (SyntaxError, ValueError, TypeError, RecursionError):
+        # the parser's own message may hold a node's memory address
+        raise ValueError(f"could not parse inline samples {text!r}: expected a "
+                         f"list of number literals, e.g. [1, 2.5, 3j]") from None
+    # the spectrum is printed as one signal, so one flat list of them
+    x = np.asarray(values)
+    if x.ndim != 1:
+        raise ValueError("inline samples must be a flat [..] list")
+    return x
+
+
 def _gather_input(args):
-    if args.input is not None:
-        return np.asarray(_read_samples_file(args.input))
-    if args.inline is not None:
-        try:
-            values = ast.literal_eval(args.inline)
-        except (SyntaxError, ValueError) as exc:
-            raise ValueError(f"could not parse inline samples: {exc}") from None
-        # the spectrum is printed as one signal, so one flat list of them
-        x = np.asarray(values)
-        if x.ndim != 1:
-            raise ValueError("inline samples must be a flat [..] list")
+    if args.input is not None or args.inline is not None:
+        if args.input is not None:
+            x = np.asarray(_read_samples_file(args.input))
+        else:
+            x = _parse_inline(args.inline)
+        N = periodization(args.transform, len(x))
+        if args.n not in (None, N):
+            raise ValueError(f"--n {args.n} does not match the N = {N} of the "
+                             f"{len(x)} samples given")
         return x
     if args.n is None:
         raise ValueError("--impulse and --random need --n")
@@ -134,7 +146,7 @@ def _run_tree(args):
     text = tree.render_tree(root, args.algorithm, args.transform)
     with _output(args.output) as out:
         out.write(text + "\n")
-    allow = args.algorithm == "classical"
+    allow = tree.allows_t1_growth(args.algorithm)
     bad = tree.conservation_violations(root, allow_t1_growth=allow)
     if bad:
         raise AssertionError(f"storage audit failed at {bad[0].node_label}")
@@ -171,7 +183,7 @@ def _run_selftest(args):
 
     for algorithm in costmodel.ALGORITHMS:
         root = tree.build_tree(algorithm, "cdft", 256)
-        bad = tree.conservation_violations(root, algorithm == "classical")
+        bad = tree.conservation_violations(root, tree.allows_t1_growth(algorithm))
         if bad:
             raise AssertionError(f"{algorithm} storage audit failed")
         print(f"ok {algorithm} storage audit")
@@ -194,7 +206,8 @@ def build_parser():
                      help="first stored sample one, the rest zero (needs --n)")
     src.add_argument("--random", type=int, metavar="SEED",
                      help="uniform(-0.5,0.5) samples from SEED (needs --n)")
-    p.add_argument("--n", type=int, help="periodization for --impulse/--random")
+    p.add_argument("--n", type=int, help="periodization: needed by --impulse/--random, "
+                   "checked against the length of --input/--inline samples")
     p.add_argument("--counts", action="store_true",
                    help="report adds/muls/flops on stderr")
     p.add_argument("--output", help="write the spectrum here instead of stdout")

@@ -1,10 +1,10 @@
 """Operation-count predictions and instrumented measurements.
 
 Closed forms are evaluated in exact rational arithmetic and returned as
-integers.  The improved algorithm has formulas for all four transforms;
-the classical algorithm's closed form covers the complex transform for
-periodizations of eight and up, with the two smaller sizes pinned from
-the recursion itself.
+integers.  Both algorithms have formulas for all four transforms.  The
+classical ones hold from eight points (dst0 from four); below that the
+counts are pinned from the recursion itself.  split_radix_cost states
+the reference count that the paper's improved algorithm meets.
 """
 
 import csv
@@ -63,17 +63,7 @@ def predicted_cost(algorithm, transform, N):
     check_type_n(ROOT_TYPE[transform], N)
     lg = N.bit_length() - 1
     if algorithm == "classical":
-        if transform != "cdft":
-            raise ValueError("the classical closed form covers only cdft")
-        if N == 2:
-            return (4, 0)
-        if N == 4:
-            # the formula extrapolates to a negative multiply count here;
-            # the recursion itself gives sixteen adds and no multiplies
-            return (16, 0)
-        adds = _exact(Fraction(7, 2) * N * lg - 4 * N)
-        muls = _exact(N * lg - Fraction(11, 4) * N + 2)
-        return (adds, muls)
+        return _classical_cost(transform, N, lg)
     if transform == "cdft":
         adds = _exact(3 * N * lg - 3 * N + 4)
         muls = _exact(N * lg - 3 * N + 4)
@@ -87,6 +77,46 @@ def predicted_cost(algorithm, transform, N):
         adds = _exact(Fraction(3, 4) * N * lg - Fraction(7, 4) * N - lg + 3)
         muls = _exact(Fraction(1, 4) * N * lg - Fraction(3, 4) * N + 1)
     return (adds, muls)
+
+
+# classical (adds, muls) below eight points, where the closed forms
+# extrapolate to negative or fractional counts
+_CLASSICAL_SMALL = {
+    "cdft": {2: (4, 0), 4: (16, 0)},
+    "rdft": {2: (2, 0), 4: (6, 0)},
+    "dct0": {2: (2, 0), 4: (4, 0)},
+}
+
+
+def _classical_cost(transform, N, lg):
+    pinned = _CLASSICAL_SMALL.get(transform, {}).get(N)
+    if pinned is not None:
+        return pinned
+    if transform == "cdft":
+        adds = Fraction(7, 2) * N * lg - 4 * N
+        muls = N * lg - Fraction(11, 4) * N + 2
+    elif transform == "rdft":  # dct0 + dst0 + the N - 2 adds of the fold
+        adds = Fraction(7, 4) * N * lg - 3 * N + 2
+        muls = Fraction(1, 2) * N * lg - Fraction(11, 8) * N + 1
+    elif transform == "dct0":
+        adds = Fraction(3, 4) * N * lg - N
+        muls = Fraction(1, 4) * N * lg - Fraction(5, 8) * N
+    else:  # dst0
+        adds = N * lg - 3 * N + 4
+        muls = Fraction(1, 4) * N * lg - Fraction(3, 4) * N + 1
+    return (_exact(adds), _exact(muls))
+
+
+def split_radix_cost(N):
+    """(adds, muls) of split-radix 3add/3mul for a complex DFT at periodization N.
+
+    Sorensen, Heideman and Burrus, IEEE TASSP 34(1), 1986: 3N lg N - 3N + 4
+    adds and N lg N - 3N + 4 muls.  The paper claims this count for the
+    improved QFT's cdft; the tests check it against the recursion.
+    """
+    check_type_n(ROOT_TYPE["cdft"], N)
+    lg = N.bit_length() - 1
+    return (_exact(3 * N * lg - 3 * N + 4), _exact(N * lg - 3 * N + 4))
 
 
 def measured_cost(algorithm, transform, N):

@@ -19,10 +19,12 @@ array kernels of the two splits work on buffers in stored-slot order,
 either one signal (rows,) or a batch (rows, signals).  A forward kernel
 writes each child into its destination in outs where the caller gives
 one, so a scheduler can hand it preallocated column slots; a time split
-copies its free views there.  For sine-kind signals the sum child is
-the odd-harmonic child; for cosine-kind signals it is the even-harmonic
-child.  The dc_t1t mother stores nothing at index N/2, so its n = 0
-pairing adds an explicit zero; those adds are still charged.
+copies its free views there.  A backward kernel likewise writes the
+mother spectrum into out when it is given one.  For sine-kind signals
+the sum child is the odd-harmonic child; for cosine-kind signals it is
+the even-harmonic child.  The dc_t1t mother stores nothing at index
+N/2, so its n = 0 pairing adds an explicit zero; those adds are still
+charged.
 """
 
 from .counting import cadd, csub, rows_like
@@ -55,8 +57,8 @@ HALVE_TIME_CHILD = {
 
 
 def _placed(buf, out):
-    """buf, or out holding a copy of it when out is given."""
-    if out is None:
+    """buf, or out holding a copy of it when out is another array."""
+    if out is None or out is buf:
         return buf
     out[...] = buf
     return out
@@ -73,21 +75,21 @@ def split_time_parity_forward(sig_type, N, x, outs=None):
     raise ValueError(f"time-parity split undefined for {sig_type}")
 
 
-def split_time_parity_backward(sig_type, N, spec_even, spec_odd, counter):
-    """Combine child spectra into the mother spectrum.
+def split_time_parity_backward(sig_type, N, spec_even, spec_odd, counter, out=None):
+    """Combine child spectra into the mother spectrum, in out or a new buffer.
 
     Each harmonic pair (k, N/2-k) costs two adds; the middle harmonic
     N/4 is a free copy from the child whose spectrum reaches it.
     """
     q = N // 4
     if sig_type == "dc_tt":
-        out = rows_like(spec_even, N // 2 + 1)
+        out = rows_like(spec_even, N // 2 + 1) if out is None else out
         cadd(counter, spec_even[0:q], spec_odd, out[0:q])
         csub(counter, spec_even[0:q], spec_odd, out[N // 2:q:-1])
         out[q] = spec_even[q]
         return out
     if sig_type == "ds_tt":
-        out = rows_like(spec_odd, N // 2 - 1)
+        out = rows_like(spec_odd, N // 2 - 1) if out is None else out
         cadd(counter, spec_odd[0:q - 1], spec_even, out[0:q - 1])
         csub(counter, spec_odd[0:q - 1], spec_even, out[N // 2 - 2:q - 1:-1])
         out[q - 1] = spec_odd[q - 1]
@@ -133,23 +135,16 @@ def split_harmonic_parity_forward(sig_type, N, x, counter, outs=None):
     raise ValueError(f"harmonic-parity split undefined for {sig_type}")
 
 
-def split_harmonic_parity_backward(sig_type, N, spec_even, spec_odd):
-    """Interleave child spectra into the mother spectrum; no arithmetic."""
-    q, m = N // 4, N // 2
-    if sig_type in ("dc_tt", "dc_t1t"):
-        out = rows_like(spec_even, m + 1)
+def split_harmonic_parity_backward(sig_type, N, spec_even, spec_odd, out=None):
+    """Interleave child spectra into the mother spectrum, in out or a new
+    buffer; no arithmetic."""
+    rows = {"dc_tt": N // 2 + 1, "dc_t1t": N // 2 + 1, "dc_ot": N // 4,
+            "ds_tt": N // 2 - 1, "ds_ot": N // 4}.get(sig_type)
+    if rows is None:
+        raise ValueError(f"harmonic-parity split undefined for {sig_type}")
+    out = rows_like(spec_even, rows) if out is None else out
+    if sig_type.startswith("dc"):
         out[0::2], out[1::2] = spec_even, spec_odd
-        return out
-    if sig_type == "dc_ot":
-        out = rows_like(spec_even, q)
-        out[0::2], out[1::2] = spec_even, spec_odd
-        return out
-    if sig_type == "ds_tt":
-        out = rows_like(spec_odd, m - 1)
+    else:
         out[1::2], out[0::2] = spec_even, spec_odd
-        return out
-    if sig_type == "ds_ot":
-        out = rows_like(spec_odd, q)
-        out[1::2], out[0::2] = spec_even, spec_odd
-        return out
-    raise ValueError(f"harmonic-parity split undefined for {sig_type}")
+    return out

@@ -12,8 +12,9 @@ signal type (dc_tt, dc_ot, ds_to, ...) to a Step.  A Step gives
   * forward(x, N, table, counter, outs): the children's buffers, in the
     order of children; outs holds, per child, the column slot to write
     that child into and return, or None for a buffer of the step's own;
-  * backward(N, spectra, counter): the spectrum, from the children's
-    spectra in the order of children.
+  * backward(N, spectra, counter[, out]): the spectrum, from the
+    children's spectra in the order of children; a root's step writes it
+    into out when run_levels is given a dest.
 
 The table is the one description of each recursion: run_levels runs
 it, and tree.build_tree reads its children and via fields to draw the
@@ -60,18 +61,18 @@ improved recursion, so one implementation serves both, parameterized by
 the step table.
 
 Each public call runs its columns in blocks, each through that whole
-path: the fold, run_levels and the recombine or packing step.  A block
-holds about BLOCK_BYTES of real working buffer, so that its levels work
-in a core's cache; a call whose blocks would hold less than
-MIN_BLOCK_ROW_BYTES of each row, as at large N, runs as one block.
-Columns are independent signals, so blocks change no bit of any result,
-count or constant footprint.  A call whose columns fit one block, every
-1-D call among them, runs as one: its output is allocated only once
-its spectra exist, and its peak is about 2.3 times its input's bytes.  A
-wider call allocates its one output once the first block's result
-exists, copies that result in and writes each later block's result
-straight into the output's columns, so its peak is the output plus one
-block's working set.
+path: the folds, run_levels and cdft's recombine.  A block holds about
+BLOCK_BYTES of real working buffer, so that its levels work in a core's
+cache; a call whose blocks would hold less than MIN_BLOCK_ROW_BYTES of
+each row, as at large N, runs as one block.  Columns are independent
+signals, so blocks change no bit of any result, count or constant
+footprint.  A call whose columns fit one block, every 1-D call among
+them, runs as one: its output is allocated only once its spectra exist,
+and its peak is 2.0-2.6 times its input's bytes.  A wider call
+allocates its one output once the first block's result exists and
+copies that result in; every later block writes its spectra straight
+into the output's columns, so the call peaks at the output plus one
+block's working set, 1.19-1.23 times an 8 MiB input's bytes.
 
 Input contract of the public transforms: one signal as a 1-D array, or
 independent signals as the columns of a 2-D array, of a numeric dtype
@@ -86,8 +87,12 @@ transform, or a length that periodization rejects raises ValueError.
 Buffer convention: every internal buffer is 2-D and real, rows by
 columns, one signal per column, and cell n of a column holds s(n).  The
 entry points turn a 1-D signal into a free (n, 1) view and squeeze the
-result back; cdft puts the real parts of its cols columns and their
-imaginary parts side by side, as 2 cols real columns.
+result back.  cdft reads its cols complex columns as their float view,
+2 cols real columns with the real and imaginary part of each column side
+by side.  run_levels writes each spectrum into the output through dest:
+cdft's cosine spectra into its first N/2+1 rows, where the recombine then
+runs in place, rdft's into out.real and out.imag, dct0's and dst0's into
+out itself.
 """
 
 from collections import Counter, namedtuple
@@ -101,6 +106,7 @@ from .elaborations import (
     HALVE_TIME_CHILD,
     HARMONIC_SPLIT_CHILDREN,
     TIME_SPLIT_CHILDREN,
+    _placed,
     split_harmonic_parity_backward,
     split_harmonic_parity_forward,
     split_time_parity_backward,
@@ -112,11 +118,14 @@ from .taxonomy import ROOT_TYPE, ln, periodization
 Step = namedtuple("Step", "leaf children via base forward backward")
 
 
-def run_levels(steps, sig_type, N, root, table, counter):
+def run_levels(steps, sig_type, N, root, table, counter, dest=None):
     """Spectrum of a sig_type buffer at periodization N, run level by level.
 
     root is a one-element list holding the buffer, which run_levels takes
-    out of it: the module docstring says why.
+    out of it: the module docstring says why.  The spectrum is written
+    into dest and dest returned when dest is given: the root's backward
+    step writes it there, and a spectrum found elsewhere, as a root
+    leaf's, is copied there.
     """
     forward, backward = _schedule(tuple(steps.items()), sig_type, N)
     inputs = [None] * len(forward)  # group -> its input buffer
@@ -155,8 +164,9 @@ def run_levels(steps, sig_type, N, root, table, counter):
         views = [spectra[k][:, c0 * cols:c1 * cols] for k, c0, c1 in slots]
         for k in last_read:
             spectra[k] = None
-        spectra[g] = step.backward(n, views, counter)
-    return spectra[0]
+        out = () if g or dest is None else (dest,)
+        spectra[g] = step.backward(n, views, counter, *out)
+    return _placed(spectra[0], dest)
 
 
 @lru_cache(maxsize=256)
@@ -247,8 +257,8 @@ def time_split(sig_type, leaf, base):
     def forward(x, N, table, counter, outs):
         return split_time_parity_forward(sig_type, N, x, outs)
 
-    def backward(N, spectra, counter):
-        return split_time_parity_backward(sig_type, N, spectra[0], spectra[1], counter)
+    def backward(N, spectra, counter, out=None):
+        return split_time_parity_backward(sig_type, N, spectra[0], spectra[1], counter, out)
 
     return Step(leaf, children, ((even_type, 0),), base, forward, backward)
 
@@ -264,97 +274,91 @@ def harmonic_split(sig_type, leaf, base):
     def forward(x, N, table, counter, outs):
         return split_harmonic_parity_forward(sig_type, N, x, counter, outs)
 
-    def backward(N, spectra, counter):
-        return split_harmonic_parity_backward(sig_type, N, spectra[0], spectra[1])
+    def backward(N, spectra, counter, out=None):
+        return split_harmonic_parity_backward(sig_type, N, spectra[0], spectra[1], out)
 
     return Step(leaf, children, ((even_type, 0),), base, forward, backward)
 
 
 # -- real and complex drivers -------------------------------------------------
 
-def real_spectra(columns, N, steps, table, counter):
-    """Cosine spectrum S(0..N/2) and sine spectrum S(1..N/2-1) of real columns.
-
-    columns is a one-element list holding the (N, cols) buffer, which is
-    taken out of it and dropped once folded, before either recursion runs.
-    """
-    x = columns.pop()
+def _fold(x, N, counter):
+    """One-element list of the dc_tt fold [s(0), s(1)+s(N-1), .., s(N/2)] of
+    real columns x; callers form the ds_tt fold when x may go after it."""
     m = N // 2
-    head, tail = x[1:m], x[N - 1:m:-1]  # samples 1..N/2-1 and their mirrors
-    even = rows_like(x, m + 1)  # dc_tt [s(0), s(1)+s(N-1), .., s(N/2)]
+    even = rows_like(x, m + 1)
     even[0] = x[0]
     even[m] = x[m]
-    cadd(counter, head, tail, even[1:m])
-    even, odd = [even], [csub(counter, head, tail)]
-    x = head = tail = None
-    spec_c = run_levels(steps, "dc_tt", N, even, table, counter)
-    spec_s = run_levels(steps, "ds_tt", N, odd, table, counter)
-    return spec_c, spec_s
+    cadd(counter, x[1:m], x[N - 1:m:-1], even[1:m])
+    return [even]
 
 
 def complex_spectrum(z, N, steps, table, counter, out=None):
-    """Spectrum of complex columns, from one real DFT of their Re|Im columns.
+    """Spectrum of complex columns, from one real DFT of their float view.
 
-    cx_tt -> re_tt, re_tt: the real parts sit in the first cols columns
-    and the imaginary parts in the rest, so one stacked fold and one
-    stacked pair of recursions transform both.  z may hold any numeric
-    samples: the stacking casts them to the table's dtype.  The spectrum
-    is written into out, or into a new array, allocated once both real
-    spectra exist, when out is None.
+    cx_tt -> re_tt, re_tt: one fold and one pair of recursions transform
+    the real and imaginary parts together.  z is copied only when its
+    dtype is not the table's complex one or its columns are not adjacent
+    in memory.  The spectrum is written into out, or into a new array,
+    allocated once both real spectra exist, when out is None.
     """
     cols = z.shape[1]
-    spec_c, spec_s = real_spectra([np.concatenate((z.real, z.imag), axis=1, dtype=table.dtype)],
-                                  N, steps, table, counter)
+    cdtype = _complex_of(table.dtype)
+    keep = z.dtype == cdtype and (cols == 1 or z.strides[1] == z.itemsize)
+    x = (z if keep else np.ascontiguousarray(z, cdtype)).view(table.dtype)
     m = N // 2
-    c1, c2 = spec_c[:, :cols], spec_c[:, cols:]  # cosine spectra of Re and Im
-    s1, s2 = spec_s[:, :cols], spec_s[:, cols:]  # sine spectra of Re and Im
-    if out is None:
-        out = np.empty(z.shape, _complex_of(table.dtype))
-    re, im = out.real, out.imag
-    # harmonics 0 and N/2 are real in each component's spectrum: plain copies
-    re[0], im[0] = c1[0], c2[0]
-    re[m], im[m] = c1[m], c2[m]
-    # a component's half spectrum is C - i S, so for k = 1..N/2-1
-    # S(k) = C1 + S2 + i (C2 - S1) and S(N-k) = C1 - S2 + i (C2 + S1)
-    cadd(counter, c1[1:m], s2, re[1:m])
-    csub(counter, c1[1:m], s2, re[N - 1:m:-1])
-    csub(counter, c2[1:m], s1, im[1:m])
-    cadd(counter, c2[1:m], s1, im[N - 1:m:-1])
+    view = None if out is None else out.view(table.dtype)
+    even, odd = _fold(x, N, counter), None
+    if not keep:  # the copy goes before either recursion runs
+        odd, x = [csub(counter, x[1:m], x[N - 1:m:-1])], None
+    spec_c = run_levels(steps, "dc_tt", N, even, table, counter,
+                        None if view is None else view[:m + 1])
+    if odd is None:  # the ds_tt fold of the caller's own samples
+        odd, x = [csub(counter, x[1:m], x[N - 1:m:-1])], None
+    spec_s = run_levels(steps, "ds_tt", N, odd, table, counter)
+    if view is None:
+        out = np.empty((N, cols), cdtype)
+        view = out.view(table.dtype)
+        view[:m + 1] = spec_c
+    spec_c = None
+    # columns 0::2 hold the real parts' spectra, 1::2 the imaginary parts';
+    # a component's half spectrum is C - i S, so for k = 1..N/2-1 S(k) =
+    # C1 + S2 + i (C2 - S1) and S(N-k) = C1 - S2 + i (C2 + S1): rows N-k
+    # first, from the C values still in rows k.  Rows 0 and N/2 are done
+    c1, c2 = view[1:m, 0::2], view[1:m, 1::2]
+    s1, s2 = spec_s[:, 0::2], spec_s[:, 1::2]
+    csub(counter, c1, s2, view[N - 1:m:-1, 0::2])
+    cadd(counter, c2, s1, view[N - 1:m:-1, 1::2])
+    cadd(counter, c1, s2, c1)
+    csub(counter, c2, s1, c2)
     return out
 
-
-# -- uncounted boundary packing ---------------------------------------------
 
 def _complex_of(dtype):
     return np.complex64 if dtype == np.float32 else np.complex128
 
 
-def complex_from_spectra(spec_c, spec_s, out=None):
-    """Harmonics 0..N/2 of a real signal from its cosine and sine spectra.
-
-    They are written into out, or into a new array when out is None.
-    """
-    if out is None:
-        out = np.empty(spec_c.shape, dtype=_complex_of(spec_c.dtype))
-    out.real = spec_c
-    out.imag[0] = out.imag[-1] = 0  # harmonics 0 and N/2 of a real signal are real
-    np.negative(spec_s, out=out.imag[1:-1])  # Im(k) = -sine spectrum; the sign flip is free
-    return out
-
-
 def half_spectrum(x, N, steps, table, counter, out=None):
-    """Harmonics 0..N/2 of real columns, written into out or a new array."""
-    spec_c, spec_s = real_spectra([x], N, steps, table, counter)
-    return complex_from_spectra(spec_c, spec_s, out)
+    """Harmonics 0..N/2 of real columns, written into out, or into a new
+    array, allocated once both spectra exist, when out is None."""
+    spec_c = run_levels(steps, "dc_tt", N, _fold(x, N, counter), table, counter,
+                        None if out is None else out.real)
+    odd = [csub(counter, x[1:N // 2], x[N - 1:N // 2:-1])]  # the ds_tt fold
+    x = None
+    spec_s = run_levels(steps, "ds_tt", N, odd, table, counter,
+                        None if out is None else out.imag[1:-1])
+    if out is None:
+        out = np.empty(spec_c.shape, _complex_of(spec_c.dtype))
+        out.real = spec_c
+    spec_c = None
+    np.negative(spec_s, out=out.imag[1:-1])  # Im(k) = -sine spectrum; the sign flip is free
+    out.imag[0] = out.imag[-1] = 0  # harmonics 0 and N/2 of a real signal are real
+    return out
 
 
 def one_recursion(x, sig_type, N, steps, table, counter, out=None):
     """Spectrum of sig_type columns, written into out or a new array."""
-    spec = run_levels(steps, sig_type, N, [x], table, counter)
-    if out is None:
-        return spec
-    out[...] = spec
-    return out
+    return run_levels(steps, sig_type, N, [x], table, counter, out)
 
 
 # -- column blocks ------------------------------------------------------------

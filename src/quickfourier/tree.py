@@ -147,6 +147,16 @@ def storage_checks(root):
     return checks
 
 
+def allows_t1_growth(algorithm):
+    """Whether the algorithm's step table forms any wider t1 signal on the way.
+
+    The storage audit then expects the odd-harmonic cosine expansions to
+    grow by one cell each way, as conservation_violations describes.
+    """
+    steps = costmodel.ALGORITHMS[algorithm].STEPS
+    return any("_t1" in t for step in steps.values() for t, _ in step.via)
+
+
 def conservation_violations(root, allow_t1_growth):
     """Checks whose delta is unexpected.
 

@@ -107,13 +107,15 @@ def test_selftest(capsys):
     ["transform", "--impulse"],  # missing --n
     ["transform", "--transform", "cdft", "--input", "/nonexistent/file"],
     ["transform", "--transform", "cdft", "--inline", "not a list"],
-    ["cost-table", "--algorithm", "classical", "--transform", "rdft"],
+    ["cost-table", "--algorithm", "classical", "--transform", "dst0", "--sizes", "2"],
     ["tree", "--algorithm", "improved", "--n", "12"],
     # complex samples for a real transform, even with zero imaginary parts
     ["transform", "--transform", "rdft", "--inline", "[1,0j,3,4]"],
     ["transform", "--transform", "cdft", "--inline", "[1, None, 2, 3]"],  # not numeric
     ["transform", "--transform", "cdft", "--inline", "[[1,2],[3,4]]"],  # not one signal
     ["accuracy", "--sizes", "16", "--trials", "0"],
+    # --n must agree with the periodization of the samples given
+    ["transform", "--transform", "dct0", "--inline", "[1,2,3]", "--n", "64"],
 ])
 def test_validation_exits_one(argv, capsys):
     assert main(argv) == 1
@@ -127,3 +129,29 @@ def test_argparse_errors_exit_one():
     with pytest.raises(SystemExit) as info:
         main(["transform", "--algorithm", "fastest", "--inline", "[1,2]"])
     assert info.value.code == 1
+
+
+def test_unparseable_inline_samples_give_one_message(capsys):
+    # the parser's own message names an AST node by its memory address
+    argv = ["transform", "--inline", "[2**64,0,0,0]"]
+    errors = []
+    for _ in range(2):
+        assert main(argv) == 1
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1]
+    assert "0x" not in errors[0]
+    assert "[2**64,0,0,0]" in errors[0]
+
+
+def test_n_that_disagrees_names_both_values(capsys):
+    assert main(["transform", "--transform", "dct0", "--inline", "[1,2,3]", "--n", "64"]) == 1
+    err = capsys.readouterr().err
+    assert "64" in err and "N = 4" in err
+    assert main(["transform", "--transform", "dct0", "--inline", "[1,2,3]", "--n", "4"]) == 0
+
+
+def test_cost_table_covers_every_pair(capsys):
+    assert main(["cost-table", "--algorithm", "classical", "--transform", "dst0",
+                 "--sizes", "4,64"]) == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert lines[1:] == ["classical,dst0,4,0,0,0,0,0,0", "classical,dst0,64,196,196,49,49,245,245"]

@@ -16,7 +16,7 @@ def test_pinned_tables_match_formulas():
 
 @pytest.mark.parametrize("algorithm", ["classical", "improved"])
 def test_predictions_match_measurements_cdft(algorithm):
-    for p in range(1, 12):
+    for p in range(1, 17):
         N = 1 << p
         pred = costmodel.predicted_cost(algorithm, "cdft", N)
         meas = costmodel.measured_cost(algorithm, "cdft", N)
@@ -25,26 +25,28 @@ def test_predictions_match_measurements_cdft(algorithm):
 
 @pytest.mark.parametrize("transform", ["rdft", "dct0", "dst0"])
 def test_predictions_match_measurements_components(transform):
-    start = 2 if transform != "dst0" else 4
-    N = start
-    while N <= 1024:
-        pred = costmodel.predicted_cost("improved", transform, N)
-        meas = costmodel.measured_cost("improved", transform, N)
-        assert pred == meas, f"improved {transform} N={N}: {pred} != {meas}"
-        N *= 2
+    for algorithm in costmodel.ALGORITHMS:
+        N = 2 if transform != "dst0" else 4
+        while N <= 65536:
+            pred = costmodel.predicted_cost(algorithm, transform, N)
+            meas = costmodel.measured_cost(algorithm, transform, N)
+            assert pred == meas, f"{algorithm} {transform} N={N}: {pred} != {meas}"
+            N *= 2
 
 
 def test_classical_small_size_anchors():
-    # the closed form only holds from eight points; below that the
-    # recursion's own counts are pinned
+    # the classical closed forms only hold from eight points; below that
+    # the recursion's own counts are pinned
     assert costmodel.predicted_cost("classical", "cdft", 2) == (4, 0)
     assert costmodel.predicted_cost("classical", "cdft", 4) == (16, 0)
     assert costmodel.predicted_cost("improved", "cdft", 2) == (4, 0)
+    assert [costmodel.predicted_cost("classical", "rdft", N) for N in (2, 4)] == [(2, 0), (6, 0)]
+    assert [costmodel.predicted_cost("classical", "dct0", N) for N in (2, 4)] == [(2, 0), (4, 0)]
 
 
 def test_validation():
     with pytest.raises(ValueError):
-        costmodel.predicted_cost("classical", "rdft", 16)
+        costmodel.predicted_cost("classical", "dst0", 2)
     with pytest.raises(ValueError):
         costmodel.predicted_cost("improved", "cdft", 12)
     with pytest.raises(ValueError):
@@ -75,3 +77,16 @@ def test_default_size_sweep():
     rows = costmodel.cost_table("classical")
     assert [r.N for r in rows] == [1 << p for p in range(2, 12)]
     assert all(r.consistent for r in rows)
+
+
+def test_improved_cdft_takes_the_split_radix_count():
+    # the paper's headline: the improved QFT needs the adds and muls of
+    # split-radix 3add/3mul, stated independently of both recursions
+    assert costmodel.split_radix_cost(16) == (148, 20)
+    for p in range(1, 17):
+        N = 1 << p
+        assert costmodel.measured_cost("improved", "cdft", N) == costmodel.split_radix_cost(N)
+        if N >= 16:
+            assert costmodel.measured_cost("classical", "cdft", N) > costmodel.split_radix_cost(N)
+    with pytest.raises(ValueError):
+        costmodel.split_radix_cost(12)

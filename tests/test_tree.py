@@ -187,3 +187,13 @@ def test_tree_reads_the_live_step_table(algorithm, monkeypatch):
     assert [(m.sig_type, m.N) for m in after.intermediates] == [("dc_tt", 16)]
     assert [(c.sig_type, c.N) for c in after.children] == [
         (c.sig_type, c.N) for c in before.children]
+
+
+def test_t1_allowance_is_read_off_the_step_table(monkeypatch):
+    # classical's dc_to step forms the wider t1 signals, improved forms
+    # none; a table that gains one must be audited with the allowance
+    assert tree.allows_t1_growth("classical")
+    assert not tree.allows_t1_growth("improved")
+    step = improved.STEPS["dc_oo"]
+    monkeypatch.setitem(improved.STEPS, "dc_oo", step._replace(via=(("dc_t1e", 0),)))
+    assert tree.allows_t1_growth("improved")
