@@ -19,15 +19,15 @@ slots they are given:
   type    leaf  forward -> children; via             backward
   dc_tt   N=2   harmonic split -> dc_tt(N/2),        interleave
                 dc_to(N); via dc_te(N)
-  dc_to   N=8   half-secant conversion to a          interleave, then
-                dc_t1t(N/2), harmonic split ->       neighbour sums
-                dc_tt(N/4), dc_to(N/2); via
+  dc_to   N=8   half-secant conversion in place to   neighbour sums of
+                a dc_t1t(N/2), harmonic split ->     the interleaved
+                dc_tt(N/4), dc_to(N/2); via          child spectra
                 dc_t1e(N), dc_t1t(N/2), dc_te(N/2)
   ds_tt   N=4   harmonic split -> ds_tt(N/2),        interleave
                 ds_to(N); via ds_te(N)
   ds_to   N=4   half-secant conversion ->            neighbour sums, then
-                ds_tt(N/2), centre sample s(N/4) ->  +- the centre sample
-                ds_e1o(N); via ds_t1o(N), ds_te(N)
+                ds_tt(N/2), centre sample s(N/4) ->  +- the centre sample,
+                ds_e1o(N); via ds_t1o(N), ds_te(N)   in place
   ds_e1o  any   never splits: its one sample is its one harmonic
 
 All arithmetic flows through the counted helpers and every constant
@@ -40,11 +40,7 @@ shared.entry_points, bound to this table.
 import math
 
 from .counting import cadd, cmul, cmul_rows, csub, rows_like
-from .elaborations import (
-    _placed,
-    split_harmonic_parity_backward,
-    split_harmonic_parity_forward,
-)
+from .elaborations import _placed, split_harmonic_parity_forward
 from .shared import Step, copy_leaf, entry_points, harmonic_split, two_point_leaf
 
 
@@ -61,9 +57,13 @@ def _dct_odd_leaf(x, N, table, counter):
 
 
 def _dct_odd_forward(x, N, table, counter, outs):
-    """dc_to buffer [s(0)..s(N/4-1)]: convert to dc_t1t at N/2, split its harmonics."""
+    """dc_to buffer [s(0)..s(N/4-1)]: convert to dc_t1t at N/2, split its harmonics.
+
+    The conversion scales x in place, as both store N/4 cells, unless x
+    is read-only, as a root may be.
+    """
     q = N // 4
-    conv = rows_like(x, q)
+    conv = x if x.flags.writeable else rows_like(x, q)
     conv[0] = cmul(counter, x[0], table.half)  # zero angle: plain halving, still one multiply
     cmul_rows(counter, x[1:], table.half_secants(N, range(1, q)), conv[1:])
     # converted signal: its even harmonics at half periodization carry
@@ -72,11 +72,17 @@ def _dct_odd_forward(x, N, table, counter, outs):
 
 
 def _dct_odd_backward(N, spectra, counter):
-    """Odd harmonics in slots (k-1)/2 from the converted signal's spectrum."""
-    q = N // 4
-    half_spec = split_harmonic_parity_backward("dc_t1t", N // 2, spectra[0], spectra[1])
-    # each odd target harmonic is the sum of its two even neighbours
-    return cadd(counter, half_spec[0:q], half_spec[1:q + 1])
+    """Odd harmonics in slots (k-1)/2 from the converted signal's spectrum.
+
+    The converted spectrum interleaves the even child's harmonics e with
+    the odd child's o, and each odd target harmonic is the sum of its two
+    neighbours there: slot 2i holds e(i) + o(i) and slot 2i+1 o(i) + e(i+1).
+    """
+    even, odd = spectra
+    out = rows_like(odd, N // 4)
+    cadd(counter, even[:-1], odd, out[0::2])
+    cadd(counter, odd, even[1:], out[1::2])
+    return out
 
 
 def _dst_odd_forward(x, N, table, counter, outs):
@@ -91,16 +97,15 @@ def _dst_odd_backward(N, spectra, counter):
     """Odd harmonics in slots (k-1)/2 from the converted spectrum and s(N/4)."""
     q = N // 4
     spec, center = spectra[0], spectra[1][0]
-    partial = rows_like(spec, q)
+    out = rows_like(spec, q)
     # neighbours at harmonics 0 and N/2 vanish for a sine spectrum, so the
     # first and last odd harmonics are free copies
-    partial[0] = spec[0]
-    partial[q - 1] = spec[q - 2]
-    cadd(counter, spec[0:q - 2], spec[1:q - 1], partial[1:q - 1])
+    out[0] = spec[0]
+    out[q - 1] = spec[q - 2]
+    cadd(counter, spec[0:q - 2], spec[1:q - 1], out[1:q - 1])
     # s(N/4) feeds every odd harmonic with alternating sign
-    out = rows_like(spec, q)
-    cadd(counter, partial[0::2], center, out[0::2])
-    csub(counter, partial[1::2], center, out[1::2])
+    cadd(counter, out[0::2], center, out[0::2])
+    csub(counter, out[1::2], center, out[1::2])
     return out
 
 

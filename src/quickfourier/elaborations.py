@@ -18,13 +18,15 @@ HALVE_TIME_CHILD name the type that the same buffer is reread as.  The
 array kernels of the two splits work on buffers in stored-slot order,
 either one signal (rows,) or a batch (rows, signals).  A forward kernel
 writes each child into its destination in outs where the caller gives
-one, so a scheduler can hand it preallocated column slots; a time split
-copies its free views there.  A backward kernel likewise writes the
-mother spectrum into out when it is given one.  For sine-kind signals
-the sum child is the odd-harmonic child; for cosine-kind signals it is
-the even-harmonic child.  The dc_t1t mother stores nothing at index
-N/2, so its n = 0 pairing adds an explicit zero; those adds are still
-charged.
+one, so a scheduler can hand it preallocated column slots.  A time
+split copies its children there and returns a child without one as a
+free view of the mother; a scheduler that keeps such a child past the
+mother's own turn copies it, or the view pins the whole mother.  A
+backward kernel likewise writes the mother spectrum into out when it is
+given one.  For sine-kind signals the sum child is the odd-harmonic
+child; for cosine-kind signals it is the even-harmonic child.  The
+dc_t1t mother stores nothing at index N/2, so its n = 0 pairing adds an
+explicit zero; those adds are still charged.
 """
 
 from .counting import cadd, csub, rows_like

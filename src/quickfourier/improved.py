@@ -5,8 +5,11 @@ odd-time children split harmonics by parity.  The odd-time odd-harmonic
 children are the only signals needing half-secant conversions, and the
 conversion maps them straight onto smaller odd-time signals, so storage
 is conserved exactly at every step: no converted signal with an extra
-harmonic cell ever appears.  The recursion bases at eight points use the
-eighth-turn constants.
+harmonic cell ever appears.  An odd-odd signal stores as many cells as
+the odd-time signal it converts onto, so shared.run_levels gives it no
+buffer of its own: the harmonic split writes it into its child's slot,
+and the conversion scales it there, in place.  The recursion bases at
+eight points use the eighth-turn constants.
 
 The recursion is the step table STEPS, which shared.run_levels runs
 level by level with same-(type, N) subproblems side by side as column
@@ -22,13 +25,13 @@ slots they are given:
                via dc_et(N)
   dc_ot  N=4   harmonic split -> dc_ot(N/2),         interleave
                dc_oo(N); via dc_oe(N)
-  dc_oo  N=8   half-secant conversion ->             neighbour sums
+  dc_oo  N=8   half-secant conversion in place ->    neighbour sums
                dc_ot(N/2); via dc_oe(N)
   ds_tt  N=4   time split -> ds_tt(N/2), ds_ot(N);   mirrored sums
                via ds_et(N)
   ds_ot  N=4   harmonic split -> ds_ot(N/2),         interleave
                ds_oo(N); via ds_oe(N)
-  ds_oo  N=8   half-secant conversion ->             neighbour sums
+  ds_oo  N=8   half-secant conversion in place ->    neighbour sums
                ds_ot(N/2); via ds_oe(N)
 
 The complex and real drivers and the public cdft/rdft/dct0/dst0 are
@@ -46,7 +49,7 @@ from .shared import Step, copy_leaf, entry_points, harmonic_split, time_split, t
 
 def _convert_odd_odd(x, N, table, counter, outs):
     """Forward step of an odd-odd signal: the half-secant conversion onto
-    an odd-time signal at N/2."""
+    an odd-time signal at N/2, in place when x is the child's slot."""
     return (cmul_rows(counter, x, table.half_secants(N, range(1, N // 4, 2)), outs[0]),)
 
 

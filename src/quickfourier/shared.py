@@ -27,31 +27,44 @@ on the whole group, in decreasing N and, within one N, in table order.
 A group fed by more than one producer gets its buffer, ln(type, N) rows
 (the paper's storage) by its columns, when its first producer runs, and
 each forward step writes its children straight into their slots; a
-group with one producer takes the buffer that producer returns, so a
-time split's strided views stay free.  Every table lists a type before
-the types that it produces at the same N, so a group is complete when
-its turn comes.  The backward pass then runs in reverse order and hands
-each child spectrum back as a column slice.  Every kernel works column
-by column and charges one operation per value it returns, so the slots
-change neither a bit of a result nor a count; they only replace
-thousands of small calls by a few dozen wide ones.
+group with one producer takes the buffer that producer returns.  A time
+split copies its even child into a buffer of its own rather than hand on
+a strided view, which would keep the whole mother alive until the even
+child's turn, levels later.  Every table lists a type before the types
+that it produces at the same N, so a group is complete when its turn
+comes.  The backward pass then runs in reverse order and hands each
+child spectrum back as a column slice, or whole where the group spans
+it.  Every kernel works column by column and charges one operation per
+value it returns, so the slots change neither a bit of a result nor a
+count; they only replace thousands of small calls by a few dozen wide
+ones.
+
+Conversions run in place.  A one-child step fed by one producer, whose
+child stores as many cells as it does (improved dc_oo and ds_oo, which
+convert onto dc_ot and ds_ot at N/2), gets no buffer of its own: its
+input is its own slot in its child's buffer, its producer writes it
+there and its forward step scales it where it lies, so the group adds
+no storage to its child's.  A step writes into its input only where
+run_levels owns it, as classical dc_to's conversion also does; the
+caller's array, which dct0 and dst0 hand over as the root, reaches the
+recursion read-only.
 
 The leaf sizes and children fix the whole schedule of a (table, type,
 N) root before any kernel runs: the groups in forward order, each
 child's column slot in units of the root's columns, the input shape of
-each group with more than one producer, the backward order, and the
-last reader of each spectrum.  It is derived once, on first use, and
-cached; a call replays it with list indices.  A forward step that
+each buffer, the groups that convert in place, the backward order, and
+the last reader of each spectrum.  It is derived once, on first use,
+and cached; a call replays it with list indices.  A forward step that
 returns another number of buffers than its children, or for a child
 with a slot any buffer but that slot, raises RuntimeError, as does a
 table that lists a type after one that produces it at the same N.
 
 Buffers are handed over, not lent: run_levels takes its root buffer out
 of a one-element list, drops each buffer once its forward step has
-consumed it and each spectrum once its last reader has run.  A plain
-argument would not do: the caller may hold it until the call returns,
-as CPython before 3.11 always does and any wrapper that forwards *args
-does.
+consumed it and each spectrum once its last reader has run, and no view
+it hands on pins a spent buffer.  A plain argument would not do: the
+caller may hold it until the call returns, as CPython before 3.11
+always does and any wrapper that forwards *args does.
 
 A real DFT folds into one even-symmetric (cosine) and one odd-symmetric
 (sine) problem; a complex DFT runs one real DFT per component and then
@@ -68,11 +81,14 @@ each row, as at large N, runs as one block.  Columns are independent
 signals, so blocks change no bit of any result, count or constant
 footprint.  A call whose columns fit one block, every 1-D call among
 them, runs as one: its output is allocated only once its spectra exist,
-and its peak is 2.0-2.6 times its input's bytes.  A wider call
+and its peak is that output beside the two real half spectra, 2.0 times
+its input's bytes; at one column or a few columns of small N, Python
+objects and one-column temporaries weigh more, up to 2.35 times for the
+improved recursion and 2.55 for the classical one.  A wider call
 allocates its one output once the first block's result exists and
 copies that result in; every later block writes its spectra straight
 into the output's columns, so the call peaks at the output plus one
-block's working set, 1.19-1.23 times an 8 MiB input's bytes.
+block's working set, 1.16-1.18 times an 8 MiB input's bytes.
 
 Input contract of the public transforms: one signal as a 1-D array, or
 independent signals as the columns of a 2-D array, of a numeric dtype
@@ -122,46 +138,55 @@ def run_levels(steps, sig_type, N, root, table, counter, dest=None):
     """Spectrum of a sig_type buffer at periodization N, run level by level.
 
     root is a one-element list holding the buffer, which run_levels takes
-    out of it: the module docstring says why.  The spectrum is written
-    into dest and dest returned when dest is given: the root's backward
-    step writes it there, and a spectrum found elsewhere, as a root
-    leaf's, is copied there.
+    out of it: the module docstring says why.  A step may write into its
+    input, as a conversion in place does, unless the input is read-only.
+    The spectrum is written into dest and dest returned when dest is
+    given: the root's backward step writes it there, and a spectrum found
+    elsewhere, as a root leaf's, is copied there.
     """
     forward, backward = _schedule(tuple(steps.items()), sig_type, N)
     inputs = [None] * len(forward)  # group -> its input buffer
     inputs[0] = root.pop()
     cols = inputs[0].shape[1]
     spectra = [None] * len(forward)
-    for g, (step, n, slots) in enumerate(forward):
-        x = inputs[g]
-        inputs[g] = None
+    for g, (step, n, home, slots) in enumerate(forward):
+        if home is None:
+            x = inputs[g]
+            inputs[g] = None
+        else:  # the group's own slot in its child's buffer
+            b, c0, c1 = home
+            x = inputs[b][:, c0 * cols:c1 * cols]
         if slots is None:
             spectra[g] = step.base(x, n, table, counter)
             x = None
             continue
-        outs = []
-        for k, c0, c1, shape in slots:
-            out = None
-            if shape is not None:
-                out = inputs[k]
-                if out is None:
-                    out = inputs[k] = np.empty((shape[0], shape[1] * cols), x.dtype)
-                out = out[:, c0 * cols:c1 * cols]
-            outs.append(out)
+        if home is None:
+            outs = []
+            for _, b, c0, c1, shape in slots:
+                out = None
+                if b is not None:
+                    out = inputs[b]
+                    if out is None:
+                        out = inputs[b] = np.empty((shape[0], shape[1] * cols), x.dtype)
+                    out = out[:, c0 * cols:c1 * cols]
+                outs.append(out)
+        else:
+            outs = [x]  # a converting group's one child slot is its own input
         bufs = step.forward(x, n, table, counter, outs)
         x = None
         if len(bufs) != len(slots):
             raise RuntimeError(f"forward step at N={n} returned {len(bufs)} buffers "
                                f"for {len(slots)} declared children")
-        for (k, _, _, shape), out, buf in zip(slots, outs, bufs):
-            if shape is None:
+        for (k, b, _, _, _), out, buf in zip(slots, outs, bufs):
+            if b is None:
                 inputs[k] = buf
             elif buf is not out:
                 raise RuntimeError(f"forward step at N={n} returned a child buffer "
                                    f"other than the slot it was given")
         bufs = buf = outs = out = None
     for g, step, n, slots, last_read in backward:
-        views = [spectra[k][:, c0 * cols:c1 * cols] for k, c0, c1 in slots]
+        views = [spectra[k] if c0 is None else spectra[k][:, c0 * cols:c1 * cols]
+                 for k, c0, c1 in slots]
         for k in last_read:
             spectra[k] = None
         out = () if g or dest is None else (dest,)
@@ -175,18 +200,22 @@ def _schedule(items, sig_type, N):
 
     items is the table as a tuple of (type, Step) pairs: it holds the
     steps themselves, so a cached schedule is never served to another
-    table.  Groups are numbered in forward order, the root first.  The
-    result is
+    table.  Groups are numbered in forward order, the root first.  Column
+    ranges are in units of the root's columns.  The result is
 
-      * forward: (step, N, slots) per group, slots None for a leaf; each
-        slot (child group, c0, c1, shape) gives the group's column range
-        in the child's input in units of the root's columns, and the
-        (rows, root columns) of that input when more than one producer
-        writes into it, else None;
+      * forward: (step, N, home, slots) per group.  home is None for a
+        group that holds its own input, or (buffer group, c0, c1) for a
+        converting group, whose input is its own slot in its child's
+        buffer.  slots is None for a leaf; each slot (child group, buffer
+        group, c0, c1, shape) gives the group's column range in the
+        buffer that holds the child's input and the (rows, root columns)
+        of that buffer, or has buffer group None when the child takes
+        the buffer its one producer returns;
       * backward: (group, step, N, slots, last_read) per split group in
         backward order, where each slot (child group, c0, c1) is the
-        group's column range in the child's spectrum and last_read lists
-        the children whose spectra no later step reads.
+        group's column range in the child's spectrum, c0 and c1 None
+        when it spans the whole spectrum, and last_read lists the
+        children whose spectra no later step reads.
     """
     claimed = {(sig_type, N): 1}  # pending group -> root columns claimed so far
     index = {}                    # (type, N) -> group
@@ -213,16 +242,43 @@ def _schedule(items, sig_type, N):
         n //= 2
     if claimed:
         raise RuntimeError(f"step table leaves {sorted(claimed)} unscheduled")
+    keys = list(index)
     producers = Counter(child for _, _, slots in groups for child, _, _ in slots or ())
-    shapes = {child: (ln(*child), widths[child]) for child, p in producers.items() if p > 1}
+    # a one-child step fed by one producer, whose child stores as many
+    # cells as it does, converts in place: its input is its own slot in
+    # the child's buffer, so no storage beyond the child's ever exists
+    converting = {key: slots[0] for key, (_, _, slots) in zip(keys, groups)
+                  if index[key] and slots and len(slots) == 1 and producers[key] == 1
+                  and ln(*key) == ln(*slots[0][0])}
+    buffered = {child for child, _, _ in converting.values()}
+    homes = {}  # (type, N) -> (buffer owner, c0, c1) of a group whose input is a slot
+    for key in reversed(keys):  # children come after their producers
+        if key in converting:
+            child, c0, c1 = converting[key]
+            owner, o, _ = homes[child]
+            homes[key] = (owner, o + c0, o + c1)
+        elif producers[key] > 1 or key in buffered:
+            homes[key] = (key, 0, widths[key])
     forward, backward, read = [], [], set()
-    for g, (step, n, slots) in enumerate(groups):
+    for g, (key, (step, n, slots)) in enumerate(zip(keys, groups)):
+        home = None
+        if key in converting:
+            owner, c0, c1 = homes[key]
+            home = (index[owner], c0, c1)
         if slots is None:
-            forward.append((step, n, None))
+            forward.append((step, n, home, None))
             continue
-        forward.append((step, n, tuple((index[child], c0, c1, shapes.get(child))
-                                       for child, c0, c1 in slots)))
-        slots = tuple((index[child], c0, c1) for child, c0, c1 in slots)
+        fslots = []
+        for child, c0, c1 in slots:
+            if child in homes:
+                owner, o, _ = homes[child]
+                fslots.append((index[child], index[owner], o + c0, o + c1,
+                               (ln(*owner), widths[owner])))
+            else:
+                fslots.append((index[child], None, c0, c1, None))
+        forward.append((step, n, home, tuple(fslots)))
+        slots = tuple((index[child], None, None) if (c0, c1) == (0, widths[child])
+                      else (index[child], c0, c1) for child, c0, c1 in slots)
         kids = tuple(k for k, _, _ in slots)
         # the first reader in forward order is the last one in backward order
         last_read = tuple(k for k in dict.fromkeys(kids) if k not in read)
@@ -255,7 +311,10 @@ def time_split(sig_type, leaf, base):
     children = ((HALVE_TIME_CHILD[even_type], 1), (odd_type, 0))
 
     def forward(x, N, table, counter, outs):
-        return split_time_parity_forward(sig_type, N, x, outs)
+        even, odd = split_time_parity_forward(sig_type, N, x, outs)
+        # a view would keep the whole mother alive until the even child's
+        # turn, levels later; a copy lets her go when this step returns
+        return even if outs[0] is not None else even.copy(), odd
 
     def backward(N, spectra, counter, out=None):
         return split_time_parity_backward(sig_type, N, spectra[0], spectra[1], counter, out)
@@ -357,7 +416,12 @@ def half_spectrum(x, N, steps, table, counter, out=None):
 
 
 def one_recursion(x, sig_type, N, steps, table, counter, out=None):
-    """Spectrum of sig_type columns, written into out or a new array."""
+    """Spectrum of sig_type columns, written into out or a new array.
+
+    x may be the caller's array, so the recursion gets it read-only.
+    """
+    x = x.view()
+    x.setflags(write=False)
     return run_levels(steps, sig_type, N, [x], table, counter, out)
 
 
