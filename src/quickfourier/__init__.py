@@ -6,22 +6,30 @@ improved one that splits time parity first and conserves storage at
 every step — with brute-force references, per-operation counting, a
 trigonometric-constant access log, decomposition-tree dumps, and a
 float32 rounding-error harness.
+
+Importing the package loads only the transform core.  The research
+modules (accuracy, costmodel, reference, tree) load on first access.
 """
 
-from . import accuracy, classical, costmodel, improved, reference, taxonomy, tree
+import importlib
+
+from . import classical, improved, taxonomy
 from .counting import OpCounter, TrigTable
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "accuracy",
-    "classical",
-    "costmodel",
-    "improved",
-    "reference",
-    "taxonomy",
-    "tree",
-    "OpCounter",
-    "TrigTable",
-    "__version__",
-]
+_LAZY = ("accuracy", "costmodel", "reference", "tree")
+
+__all__ = ["classical", "improved", "taxonomy", *_LAZY, "OpCounter", "TrigTable",
+           "__version__"]
+
+
+def __getattr__(name):
+    # importing a submodule binds it here, so this runs once per module
+    if name in _LAZY:
+        return importlib.import_module(f"{__name__}.{name}")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_LAZY))

@@ -5,6 +5,9 @@ Subcommands: transform (run one transform on a signal), cost-table
 rounding-error experiment as CSV), tree (decomposition dump), selftest
 (compact end-to-end battery).
 
+Each subcommand imports the research modules it runs, so `qft transform`
+loads none of accuracy, reference or tree.
+
 Exit codes: 0 on success, 1 on any validation problem (bad arguments,
 malformed input, unsupported sizes), 2 if an internal consistency check
 fails.
@@ -17,7 +20,7 @@ import sys
 
 import numpy as np
 
-from . import accuracy, costmodel, reference, tree
+from . import costmodel
 from .counting import OpCounter, TrigTable
 from .taxonomy import periodization, stored_length
 
@@ -91,6 +94,8 @@ def _gather_input(args):
         x = np.zeros(length)  # real samples: cdft takes them as well
         x[0] = 1.0
         return x
+    from . import accuracy
+
     if args.transform == "cdft":
         return accuracy.random_signal(args.n, args.random, 0, np.complex128)
     return accuracy.random_real_batch(length, args.random, 1)[:, 0]
@@ -133,15 +138,21 @@ def _run_cost_table(args):
 
 
 def _run_accuracy(args):
+    from . import accuracy
+
     rows = accuracy.accuracy_experiment(
         sizes=tuple(_parse_sizes(args.sizes) or accuracy.DEFAULT_SIZES),
-        trials=args.trials, seed=args.seed, pipeline=args.pipeline)
+        trials=accuracy.DEFAULT_TRIALS if args.trials is None else args.trials,
+        seed=accuracy.DEFAULT_SEED if args.seed is None else args.seed,
+        pipeline=args.pipeline)
     with _output(args.output) as out:
         accuracy.write_accuracy_csv(rows, out)
     return 0
 
 
 def _run_tree(args):
+    from . import tree
+
     root = tree.build_tree(args.algorithm, args.transform, args.n)
     text = tree.render_tree(root, args.algorithm, args.transform)
     with _output(args.output) as out:
@@ -154,6 +165,8 @@ def _run_tree(args):
 
 
 def _run_selftest(args):
+    from . import accuracy, reference, tree
+
     rng = np.random.default_rng(0)
 
     for algorithm, table_counts in (("classical", costmodel.CLASSICAL_CDFT_COUNTS),
@@ -222,8 +235,8 @@ def build_parser():
 
     p = sub.add_parser("accuracy", help="float32 rounding-error experiment (CSV)")
     p.add_argument("--sizes", help="comma-separated periodizations")
-    p.add_argument("--trials", type=int, default=accuracy.DEFAULT_TRIALS)
-    p.add_argument("--seed", type=int, default=accuracy.DEFAULT_SEED)
+    p.add_argument("--trials", type=int)
+    p.add_argument("--seed", type=int)
     p.add_argument("--pipeline", choices=("two_tier", "single_tier"),
                    default="two_tier")
     p.add_argument("--output")

@@ -67,9 +67,9 @@ def rows_like(x, n):
     """Uninitialized array of n rows matching x's trailing shape and dtype.
 
     Transform kernels hold one stored value per leading row; a trailing
-    axis, when present, carries a batch of independent signals.
+    axis, when present, carries a batch of independent signals.  x must
+    be an array.
     """
-    x = np.asarray(x)
     return np.empty((n,) + x.shape[1:], dtype=x.dtype)
 
 

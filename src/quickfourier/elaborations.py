@@ -140,11 +140,10 @@ def split_harmonic_parity_forward(sig_type, N, x, counter, outs=None):
 def split_harmonic_parity_backward(sig_type, N, spec_even, spec_odd, out=None):
     """Interleave child spectra into the mother spectrum, in out or a new
     buffer; no arithmetic."""
-    rows = {"dc_tt": N // 2 + 1, "dc_t1t": N // 2 + 1, "dc_ot": N // 4,
-            "ds_tt": N // 2 - 1, "ds_ot": N // 4}.get(sig_type)
-    if rows is None:
+    if sig_type not in HARMONIC_SPLIT_CHILDREN:
         raise ValueError(f"harmonic-parity split undefined for {sig_type}")
-    out = rows_like(spec_even, rows) if out is None else out
+    if out is None:  # the mother stores each child's harmonics and no others
+        out = rows_like(spec_even, len(spec_even) + len(spec_odd))
     if sig_type.startswith("dc"):
         out[0::2], out[1::2] = spec_even, spec_odd
     else:

@@ -82,13 +82,16 @@ signals, so blocks change no bit of any result, count or constant
 footprint.  A call whose columns fit one block, every 1-D call among
 them, runs as one: its output is allocated only once its spectra exist,
 and its peak is that output beside the two real half spectra, 2.0 times
-its input's bytes; at one column or a few columns of small N, Python
-objects and one-column temporaries weigh more, up to 2.35 times for the
-improved recursion and 2.55 for the classical one.  A wider call
-allocates its one output once the first block's result exists and
-copies that result in; every later block writes its spectra straight
-into the output's columns, so the call peaks at the output plus one
-block's working set, 1.16-1.18 times an 8 MiB input's bytes.
+its input's bytes.  Beside a small input, Python objects and one-column
+temporaries weigh more: at one float64 column, improved rdft peaks at
+2.10, 2.38 and 3.48 times its input at N = 4096, 1024 and 256 (classical
+2.36, 2.68 and 3.90) and improved cdft at 2.05, 2.19 and 2.71 (classical
+2.30, 2.44 and 2.95); at 16 columns of N = 64, both transforms peak at
+2.16-2.34 times (classical 2.36-2.53).  A wider call allocates its one
+output once the first block's result exists and copies that result in;
+every later block writes its spectra straight into the output's
+columns, so the call peaks at the output plus one block's working set,
+1.16-1.18 times an 8 MiB input's bytes.
 
 Input contract of the public transforms: one signal as a 1-D array, or
 independent signals as the columns of a 2-D array, of a numeric dtype
@@ -111,7 +114,7 @@ runs in place, rdft's into out.real and out.imag, dct0's and dst0's into
 out itself.
 """
 
-from collections import Counter, namedtuple
+from collections import namedtuple
 from functools import lru_cache
 
 import numpy as np
@@ -219,72 +222,70 @@ def _schedule(items, sig_type, N):
     """
     claimed = {(sig_type, N): 1}  # pending group -> root columns claimed so far
     index = {}                    # (type, N) -> group
-    widths = {}                   # (type, N) -> root columns
-    groups = []                   # (step, N, child slots or None), forward order
+    groups = []                   # ((type, N), step, N, columns, converts, child slots or None)
+    fed_twice, buffered = set(), set()  # groups fed by several producers; by a conversion
     n = N
     while n:
         for t, step in items:
-            width = claimed.pop((t, n), None)
+            key = (t, n)
+            width = claimed.pop(key, None)
             if width is None:
                 continue
-            index[(t, n)] = len(groups)
-            widths[(t, n)] = width
+            index[key] = len(groups)
             if n <= step.leaf:
-                groups.append((step, n, None))
+                groups.append((key, step, n, width, False, None))
                 continue
             slots = []
             for child_type, halvings in step.children:
                 child = (child_type, n >> halvings)
                 c0 = claimed.get(child, 0)
+                if c0:
+                    fed_twice.add(child)
                 claimed[child] = c0 + width
                 slots.append((child, c0, c0 + width))
-            groups.append((step, n, slots))
+            # a one-child step fed by one producer, whose child stores as
+            # many cells as it does, converts in place: its input is its own
+            # slot in the child's buffer, so no storage beyond the child's
+            # ever exists.  Every producer of a group has run before it; the
+            # root's input is the caller's buffer
+            converts = (len(slots) == 1 and index[key] > 0 and key not in fed_twice
+                        and ln(*key) == ln(*child))
+            if converts:
+                buffered.add(child)
+            groups.append((key, step, n, width, converts, slots))
         n //= 2
     if claimed:
         raise RuntimeError(f"step table leaves {sorted(claimed)} unscheduled")
-    keys = list(index)
-    producers = Counter(child for _, _, slots in groups for child, _, _ in slots or ())
-    # a one-child step fed by one producer, whose child stores as many
-    # cells as it does, converts in place: its input is its own slot in
-    # the child's buffer, so no storage beyond the child's ever exists
-    converting = {key: slots[0] for key, (_, _, slots) in zip(keys, groups)
-                  if index[key] and slots and len(slots) == 1 and producers[key] == 1
-                  and ln(*key) == ln(*slots[0][0])}
-    buffered = {child for child, _, _ in converting.values()}
-    homes = {}  # (type, N) -> (buffer owner, c0, c1) of a group whose input is a slot
-    for key in reversed(keys):  # children come after their producers
-        if key in converting:
-            child, c0, c1 = converting[key]
-            owner, o, _ = homes[child]
-            homes[key] = (owner, o + c0, o + c1)
-        elif producers[key] > 1 or key in buffered:
-            homes[key] = (key, 0, widths[key])
-    forward, backward, read = [], [], set()
-    for g, (key, (step, n, slots)) in enumerate(zip(keys, groups)):
+    homes = {}  # group -> (buffer group, c0, buffer shape) of a group whose input is a slot
+    forward, backward = [], []
+    for g in range(len(groups) - 1, -1, -1):  # children come after their producers
+        key, step, n, width, converts, slots = groups[g]
         home = None
-        if key in converting:
-            owner, c0, c1 = homes[key]
-            home = (index[owner], c0, c1)
+        if converts:
+            child, c0, c1 = slots[0]
+            owner, o, shape = homes[index[child]]
+            homes[g] = (owner, o + c0, shape)
+            home = (owner, o + c0, o + c1)
+        elif key in fed_twice or key in buffered:
+            homes[g] = (g, 0, (ln(*key), width))
         if slots is None:
-            forward.append((step, n, home, None))
+            forward.append((step, n, None, None))
             continue
-        fslots = []
+        fslots, bslots, last_read = [], [], []
         for child, c0, c1 in slots:
-            if child in homes:
-                owner, o, _ = homes[child]
-                fslots.append((index[child], index[owner], o + c0, o + c1,
-                               (ln(*owner), widths[owner])))
+            k = index[child]
+            if k in homes:
+                owner, o, shape = homes[k]
+                fslots.append((k, owner, o + c0, o + c1, shape))
             else:
-                fslots.append((index[child], None, c0, c1, None))
+                fslots.append((k, None, c0, c1, None))
+            bslots.append((k, None, None) if c0 == 0 and c1 == groups[k][3] else (k, c0, c1))
+            if c0 == 0:  # the first reader in forward order is the last in backward order
+                last_read.append(k)
         forward.append((step, n, home, tuple(fslots)))
-        slots = tuple((index[child], None, None) if (c0, c1) == (0, widths[child])
-                      else (index[child], c0, c1) for child, c0, c1 in slots)
-        kids = tuple(k for k, _, _ in slots)
-        # the first reader in forward order is the last one in backward order
-        last_read = tuple(k for k in dict.fromkeys(kids) if k not in read)
-        read.update(kids)
-        backward.append((g, step, n, slots, last_read))
-    return tuple(forward), tuple(reversed(backward))
+        backward.append((g, step, n, tuple(bslots), tuple(last_read)))
+    forward.reverse()
+    return tuple(forward), tuple(backward)
 
 
 # -- steps both tables use ----------------------------------------------------

@@ -13,7 +13,7 @@ time/freq, re freq) take two real cells each, which is why ln(cx_tt) is
 2N and not N.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cache
 
 import numpy as np
@@ -167,10 +167,7 @@ def periodization(transform, length):
     return N
 
 
-@dataclass(frozen=True)
-class StorageSizes:
-    ln: int
-    lk: int
+StorageSizes = namedtuple("StorageSizes", "ln lk")
 
 
 def storage_sizes(sig_type, N):
