@@ -7,7 +7,9 @@ every step — with brute-force references, per-operation counting, a
 trigonometric-constant access log, decomposition-tree dumps, and a
 float32 rounding-error harness.
 
-Importing the package loads only the transform core.  The research
+Importing the package loads only the transform core, which also names
+the recursions and transforms: ALGORITHMS, TRANSFORMS, check_names and
+transform_fn are the one list every other module reads.  The research
 modules (accuracy, costmodel, reference, tree) load on first access.
 """
 
@@ -20,8 +22,25 @@ __version__ = "0.1.0"
 
 _LAZY = ("accuracy", "costmodel", "reference", "tree")
 
-__all__ = ["classical", "improved", "taxonomy", *_LAZY, "OpCounter", "TrigTable",
-           "__version__"]
+__all__ = ["classical", "improved", "taxonomy", *_LAZY, "ALGORITHMS", "TRANSFORMS",
+           "check_names", "transform_fn", "OpCounter", "TrigTable", "__version__"]
+
+ALGORITHMS = {"classical": classical, "improved": improved}
+TRANSFORMS = tuple(taxonomy.ROOT_TYPE)
+
+
+def check_names(algorithm, transform):
+    """ValueError unless both names are ones this package knows."""
+    if algorithm not in ALGORITHMS:
+        raise ValueError(f"algorithm must be one of {tuple(ALGORITHMS)}, got {algorithm!r}")
+    if transform not in TRANSFORMS:
+        raise ValueError(f"transform must be one of {TRANSFORMS}, got {transform!r}")
+
+
+def transform_fn(algorithm, transform):
+    """The public function for one transform of one algorithm, e.g. improved.cdft."""
+    check_names(algorithm, transform)
+    return getattr(ALGORITHMS[algorithm], transform)
 
 
 def __getattr__(name):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import costmodel, reference
+from . import ALGORITHMS, reference, transform_fn
 from .counting import OpCounter, TrigTable
 
 DEFAULT_SEED = 1234
@@ -69,7 +69,7 @@ class AccuracyRow:
 def run_accuracy(algorithm, N, trials=DEFAULT_TRIALS, seed=DEFAULT_SEED,
                  pipeline="two_tier", inputs=None, oracle=None):
     """Mean relative RMS error of one algorithm at one periodization."""
-    fn = costmodel.transform_fn(algorithm, "cdft")
+    fn = transform_fn(algorithm, "cdft")
     if inputs is None:
         inputs = random_complex_batch(N, seed, trials, np.complex64)
     if inputs.shape[1] == 0:
@@ -90,7 +90,7 @@ def accuracy_experiment(sizes=DEFAULT_SIZES, trials=DEFAULT_TRIALS,
     for N in sizes:
         inputs = random_complex_batch(N, seed, trials, np.complex64)
         oracle = reference.cdft_naive(inputs.astype(np.complex128))
-        for algorithm in costmodel.ALGORITHMS:
+        for algorithm in ALGORITHMS:
             rows.append(run_accuracy(algorithm, N, trials, seed, pipeline,
                                      inputs=inputs, oracle=oracle))
     return rows

@@ -13,8 +13,9 @@ slots of one buffer.  Each Step declares its leaf size, its children
 and the transient signals it forms on the way (via), all as (type,
 halvings of N), so the schedule of a root is derived from the table
 alone and cached, and tree.build_tree draws the decomposition tree from
-it; forward steps return only the children's buffers, written into the
-slots they are given:
+it.  Every step writes into the buffers run_levels hands it, ln(type, N)
+rows for a child and lk(type, N) rows for a spectrum, and returns
+nothing:
 
   type    leaf  forward -> children; via             backward
   dc_tt   N=2   harmonic split -> dc_tt(N/2),        interleave
@@ -40,20 +41,19 @@ shared.entry_points, bound to this table.
 import math
 
 from .counting import cadd, cmul, cmul_rows, csub, rows_like
-from .elaborations import _placed, split_harmonic_parity_forward
+from .elaborations import split_harmonic_parity_forward
 from .shared import Step, copy_leaf, entry_points, harmonic_split, two_point_leaf
 
 
-def _dct_odd_leaf(x, N, table, counter):
+def _dct_odd_leaf(x, N, table, counter, out):
     """Odd harmonics of a dc_to buffer [s(0)..s(N/4-1)] at N = 4 or 8."""
     if N == 4:
-        return x.copy()  # S(1) = s(0)
-    # two-point definition: S(1), S(3) = s(0) +- s(1) cos(2 pi/8)
-    t = cmul(counter, x[1:2], table.half_secant(1, 8))
-    out = rows_like(x, 2)
-    cadd(counter, x[0:1], t, out[0:1])
-    csub(counter, x[0:1], t, out[1:2])
-    return out
+        out[...] = x  # S(1) = s(0)
+    else:  # two-point definition: S(1), S(3) = s(0) +- s(1) cos(2 pi/8),
+        # the product formed in S(3)'s cell
+        t = cmul(counter, x[1:2], table.half_secant(1, 8), out[1:2])
+        cadd(counter, x[0:1], t, out[0:1])
+        csub(counter, x[0:1], t, t)
 
 
 def _dct_odd_forward(x, N, table, counter, outs):
@@ -64,14 +64,14 @@ def _dct_odd_forward(x, N, table, counter, outs):
     """
     q = N // 4
     conv = x if x.flags.writeable else rows_like(x, q)
-    conv[0] = cmul(counter, x[0], table.half)  # zero angle: plain halving, still one multiply
+    cmul(counter, x[0], table.half, conv[0])  # zero angle: plain halving, still one multiply
     cmul_rows(counter, x[1:], table.half_secants(N, range(1, q)), conv[1:])
     # converted signal: its even harmonics at half periodization carry
     # everything needed; split it by harmonic parity
-    return split_harmonic_parity_forward("dc_t1t", N // 2, conv, counter, outs)
+    split_harmonic_parity_forward("dc_t1t", N // 2, conv, counter, outs)
 
 
-def _dct_odd_backward(N, spectra, counter):
+def _dct_odd_backward(N, spectra, counter, out):
     """Odd harmonics in slots (k-1)/2 from the converted signal's spectrum.
 
     The converted spectrum interleaves the even child's harmonics e with
@@ -79,25 +79,22 @@ def _dct_odd_backward(N, spectra, counter):
     neighbours there: slot 2i holds e(i) + o(i) and slot 2i+1 o(i) + e(i+1).
     """
     even, odd = spectra
-    out = rows_like(odd, N // 4)
     cadd(counter, even[:-1], odd, out[0::2])
     cadd(counter, odd, even[1:], out[1::2])
-    return out
 
 
 def _dst_odd_forward(x, N, table, counter, outs):
     """ds_to buffer [s(1)..s(N/4)]: convert s(1)..s(N/4-1) onto ds_tt at N/2
     and split off the centre sample s(N/4) as a one-cell ds_e1o signal."""
     q = N // 4
-    conv = cmul_rows(counter, x[0:q - 1], table.half_secants(N, range(1, q)), outs[0])
-    return conv, _placed(x[q - 1:q], outs[1])
+    cmul_rows(counter, x[0:q - 1], table.half_secants(N, range(1, q)), outs[0])
+    outs[1][...] = x[q - 1:q]
 
 
-def _dst_odd_backward(N, spectra, counter):
+def _dst_odd_backward(N, spectra, counter, out):
     """Odd harmonics in slots (k-1)/2 from the converted spectrum and s(N/4)."""
     q = N // 4
     spec, center = spectra[0], spectra[1][0]
-    out = rows_like(spec, q)
     # neighbours at harmonics 0 and N/2 vanish for a sine spectrum, so the
     # first and last odd harmonics are free copies
     out[0] = spec[0]
@@ -106,7 +103,6 @@ def _dst_odd_backward(N, spectra, counter):
     # s(N/4) feeds every odd harmonic with alternating sign
     cadd(counter, out[0::2], center, out[0::2])
     csub(counter, out[1::2], center, out[1::2])
-    return out
 
 
 STEPS = {

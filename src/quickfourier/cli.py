@@ -6,7 +6,7 @@ rounding-error experiment as CSV), tree (decomposition dump), selftest
 (compact end-to-end battery).
 
 Each subcommand imports the research modules it runs, so `qft transform`
-loads none of accuracy, reference or tree.
+loads none of accuracy, costmodel, reference or tree.
 
 Exit codes: 0 on success, 1 on any validation problem (bad arguments,
 malformed input, unsupported sizes), 2 if an internal consistency check
@@ -20,7 +20,7 @@ import sys
 
 import numpy as np
 
-from . import costmodel
+from . import ALGORITHMS, TRANSFORMS, transform_fn
 from .counting import OpCounter, TrigTable
 from .taxonomy import periodization, stored_length
 
@@ -103,7 +103,7 @@ def _gather_input(args):
 
 def _run_transform(args):
     x = _gather_input(args)
-    fn = costmodel.transform_fn(args.algorithm, args.transform)
+    fn = transform_fn(args.algorithm, args.transform)
     counter = OpCounter()
     spectrum = fn(x, counter=counter)
     with _output(args.output) as out:
@@ -126,8 +126,9 @@ def _parse_sizes(text):
 
 
 def _run_cost_table(args):
-    rows = costmodel.cost_table(args.algorithm, args.transform,
-                                _parse_sizes(args.sizes))
+    from . import costmodel
+
+    rows = costmodel.cost_rows(args.algorithm, args.transform, _parse_sizes(args.sizes))
     mismatches = [r for r in rows if not r.consistent]
     with _output(args.output) as out:
         costmodel.write_cost_csv(rows, out)
@@ -165,7 +166,7 @@ def _run_tree(args):
 
 
 def _run_selftest(args):
-    from . import accuracy, reference, tree
+    from . import accuracy, costmodel, reference, tree
 
     rng = np.random.default_rng(0)
 
@@ -176,9 +177,9 @@ def _run_selftest(args):
                 raise AssertionError(f"{algorithm} cdft count drifted at N={N}")
         print(f"ok {algorithm} operation counts")
 
-    for algorithm in costmodel.ALGORITHMS:
+    for algorithm in ALGORITHMS:
         z = rng.uniform(-0.5, 0.5, 256) + 1j * rng.uniform(-0.5, 0.5, 256)
-        got = costmodel.transform_fn(algorithm, "cdft")(z)
+        got = transform_fn(algorithm, "cdft")(z)
         want = reference.cdft_naive(z)
         err = float(accuracy.relative_rms_error(got, want))
         if err > 1e-11:
@@ -188,13 +189,13 @@ def _run_selftest(args):
     for algorithm, want in (("classical", 63), ("improved", 64)):
         table = TrigTable(np.float64)
         z = rng.uniform(-0.5, 0.5, 256) + 1j * rng.uniform(-0.5, 0.5, 256)
-        costmodel.transform_fn(algorithm, "cdft")(z, table=table, counter=OpCounter())
+        transform_fn(algorithm, "cdft")(z, table=table, counter=OpCounter())
         if table.touched_count() != want:
             raise AssertionError(
                 f"{algorithm} touched {table.touched_count()} constants, not {want}")
         print(f"ok {algorithm} constant footprint ({want})")
 
-    for algorithm in costmodel.ALGORITHMS:
+    for algorithm in ALGORITHMS:
         root = tree.build_tree(algorithm, "cdft", 256)
         bad = tree.conservation_violations(root, tree.allows_t1_growth(algorithm))
         if bad:
@@ -210,8 +211,8 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     p = sub.add_parser("transform", help="run one transform on a signal")
-    p.add_argument("--algorithm", choices=costmodel.ALGORITHMS, default="improved")
-    p.add_argument("--transform", choices=costmodel.TRANSFORMS, default="cdft")
+    p.add_argument("--algorithm", choices=ALGORITHMS, default="improved")
+    p.add_argument("--transform", choices=TRANSFORMS, default="cdft")
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--input", help="file with one sample per line: re or re,im")
     src.add_argument("--inline", help="samples as a literal list, e.g. [1,2,0.5]")
@@ -227,8 +228,8 @@ def build_parser():
     p.set_defaults(func=_run_transform)
 
     p = sub.add_parser("cost-table", help="predicted vs measured operation counts (CSV)")
-    p.add_argument("--algorithm", choices=costmodel.ALGORITHMS, required=True)
-    p.add_argument("--transform", choices=costmodel.TRANSFORMS, default="cdft")
+    p.add_argument("--algorithm", choices=ALGORITHMS, required=True)
+    p.add_argument("--transform", choices=TRANSFORMS, default="cdft")
     p.add_argument("--sizes", help="comma-separated periodizations")
     p.add_argument("--output")
     p.set_defaults(func=_run_cost_table)
@@ -243,8 +244,8 @@ def build_parser():
     p.set_defaults(func=_run_accuracy)
 
     p = sub.add_parser("tree", help="decomposition tree dump")
-    p.add_argument("--algorithm", choices=costmodel.ALGORITHMS, required=True)
-    p.add_argument("--transform", choices=costmodel.TRANSFORMS, default="cdft")
+    p.add_argument("--algorithm", choices=ALGORITHMS, required=True)
+    p.add_argument("--transform", choices=TRANSFORMS, default="cdft")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--output")
     p.set_defaults(func=_run_tree)

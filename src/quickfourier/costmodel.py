@@ -13,13 +13,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import classical, improved
+from . import check_names, transform_fn
 from .counting import OpCounter
 from .taxonomy import ROOT_TYPE, check_type_n, stored_length
-
-# the one list of recursions: every other module reads its names here
-ALGORITHMS = {"classical": classical, "improved": improved}
-TRANSFORMS = tuple(ROOT_TYPE)
 
 # complex-transform (adds, muls) by periodization, classical recursion
 CLASSICAL_CDFT_COUNTS = {
@@ -41,20 +37,6 @@ def _exact(expr):
     if expr.denominator != 1:
         raise AssertionError(f"count formula produced a non-integer: {expr}")
     return int(expr)
-
-
-def check_names(algorithm, transform):
-    """ValueError unless both names are ones this package knows."""
-    if algorithm not in ALGORITHMS:
-        raise ValueError(f"algorithm must be one of {tuple(ALGORITHMS)}, got {algorithm!r}")
-    if transform not in TRANSFORMS:
-        raise ValueError(f"transform must be one of {TRANSFORMS}, got {transform!r}")
-
-
-def transform_fn(algorithm, transform):
-    """The public function for one transform of one algorithm, e.g. improved.cdft."""
-    check_names(algorithm, transform)
-    return getattr(ALGORITHMS[algorithm], transform)
 
 
 def predicted_cost(algorithm, transform, N):
@@ -153,8 +135,10 @@ class CostRow:
         return self.adds_pred == self.adds_meas and self.muls_pred == self.muls_meas
 
 
-def cost_rows(algorithm, transform, sizes):
-    """Predicted-versus-measured rows for one transform over the sizes."""
+def cost_rows(algorithm, transform="cdft", sizes=None):
+    """Predicted-versus-measured rows for one transform; sizes default to 4..2048."""
+    if sizes is None:
+        sizes = [1 << p for p in range(2, 12)]
     rows = []
     for N in sizes:
         adds_pred, muls_pred = predicted_cost(algorithm, transform, N)
@@ -162,13 +146,6 @@ def cost_rows(algorithm, transform, sizes):
         rows.append(CostRow(algorithm, transform, N,
                             adds_pred, adds_meas, muls_pred, muls_meas))
     return rows
-
-
-def cost_table(algorithm, transform="cdft", sizes=None):
-    """Rows for the requested transform; sizes default to 4..2048."""
-    if sizes is None:
-        sizes = [1 << p for p in range(2, 12)]
-    return cost_rows(algorithm, transform, sizes)
 
 
 CSV_HEADER = ("algorithm", "transform", "N", "adds_pred", "adds_meas",

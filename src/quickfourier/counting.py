@@ -56,9 +56,9 @@ def csub(counter, x, y, out=None):
     return r
 
 
-def cmul(counter, x, y):
-    """Counted elementwise multiplication; one real multiply per output value."""
-    r = x * y
+def cmul(counter, x, y, out=None):
+    """Counted elementwise multiplication, into out if given; one real multiply per output value."""
+    r = x * y if out is None else np.multiply(x, y, out)
     counter.muls += r.size
     return r
 

@@ -17,8 +17,9 @@ slots of one buffer.  Each Step declares its leaf size, its children
 and the transient signals it forms on the way (via), all as (type,
 halvings of N), so the schedule of a root is derived from the table
 alone and cached, and tree.build_tree draws the decomposition tree from
-it; forward steps return only the children's buffers, written into the
-slots they are given:
+it.  Every step writes into the buffers run_levels hands it, ln(type, N)
+rows for a child and lk(type, N) rows for a spectrum, and returns
+nothing:
 
   type   leaf  forward -> children; via              backward
   dc_tt  N=2   time split -> dc_tt(N/2), dc_ot(N);   mirrored sums
@@ -43,50 +44,46 @@ comes from the TrigTable.  Buffers follow the stored-slot order of the
 taxonomy, one signal per column.
 """
 
-from .counting import cadd, cmul, cmul_rows, rows_like
+from .counting import cadd, cmul, cmul_rows
 from .shared import Step, copy_leaf, entry_points, harmonic_split, time_split, two_point_leaf
 
 
 def _convert_odd_odd(x, N, table, counter, outs):
     """Forward step of an odd-odd signal: the half-secant conversion onto
     an odd-time signal at N/2, in place when x is the child's slot."""
-    return (cmul_rows(counter, x, table.half_secants(N, range(1, N // 4, 2)), outs[0]),)
+    cmul_rows(counter, x, table.half_secants(N, range(1, N // 4, 2)), outs[0])
 
 
-def _dct_oo_leaf(x, N, table, counter):
+def _dct_oo_leaf(x, N, table, counter, out):
     """dc_oo at N = 8: the one odd harmonic of the one stored sample."""
-    return cmul(counter, x[0:1], table.eighth_cos())  # S(1) = s(1) cos(2 pi/8)
+    cmul(counter, x[0:1], table.eighth_cos(), out)  # S(1) = s(1) cos(2 pi/8)
 
 
-def _dct_oo_backward(N, spectra, counter):
+def _dct_oo_backward(N, spectra, counter, out):
     """Odd harmonics of a dc_oo signal in slots (k-1)/2 from the converted spectrum."""
     h = N // 8
     spec = spectra[0]
-    out = rows_like(spec, h)
     # each odd harmonic is the sum of its two even neighbours in the
     # converted spectrum; the neighbour at N/4 vanishes for odd-time
     # signals, so the last one is a free copy
     cadd(counter, spec[0:h - 1], spec[1:h], out[:h - 1])
     out[h - 1] = spec[h - 1]
-    return out
 
 
-def _dst_oo_leaf(x, N, table, counter):
+def _dst_oo_leaf(x, N, table, counter, out):
     """ds_oo at N = 8: the one odd harmonic of the one stored sample."""
     # S(1) = s(1) sin(2 pi/8); numerically the half-secant at 1/8
-    return cmul(counter, x[0:1], table.half_secant(1, 8))
+    cmul(counter, x[0:1], table.half_secant(1, 8), out)
 
 
-def _dst_oo_backward(N, spectra, counter):
+def _dst_oo_backward(N, spectra, counter, out):
     """Odd harmonics of a ds_oo signal in slots (k-1)/2 from the converted spectrum."""
     h = N // 8
     spec = spectra[0]
-    out = rows_like(spec, h)
     # the neighbour at harmonic 0 vanishes for a sine spectrum, so the
     # first odd harmonic is a free copy
     out[0] = spec[0]
     cadd(counter, spec[0:h - 1], spec[1:h], out[1:])
-    return out
 
 
 STEPS = {

@@ -8,13 +8,17 @@ signal type (dc_tt, dc_ot, ds_to, ...) to a Step.  A Step gives
     of halvings of N) pairs;
   * via: the transient signals the split forms on the way, which its
     own kernels consume, as (type, halvings of N) pairs;
-  * base(x, N, table, counter): the spectrum of a leaf;
-  * forward(x, N, table, counter, outs): the children's buffers, in the
-    order of children; outs holds, per child, the column slot to write
-    that child into and return, or None for a buffer of the step's own;
-  * backward(N, spectra, counter[, out]): the spectrum, from the
-    children's spectra in the order of children; a root's step writes it
-    into out when run_levels is given a dest.
+  * base(x, N, table, counter, out): writes the spectrum of a leaf
+    into out;
+  * forward(x, N, table, counter, outs): writes the children, in the
+    order of children, into the buffers outs holds;
+  * backward(N, spectra, counter, out): writes the spectrum, from the
+    children's spectra in the order of children, into out.
+
+Step functions allocate nothing and return nothing: run_levels owns
+every buffer a recursion uses.  An input buffer holds ln(type, N) rows
+and a spectrum lk(type, N) rows, the paper's storage of the signal, by
+the columns of its group.
 
 The table is the one description of each recursion: run_levels runs
 it, and tree.build_tree reads its children and via fields to draw the
@@ -24,40 +28,37 @@ run_levels runs a table level by level rather than depth first.  It
 groups pending subproblems by (type, N), gives each subproblem a column
 slot of its group's one input buffer and runs one base or forward call
 on the whole group, in decreasing N and, within one N, in table order.
-A group fed by more than one producer gets its buffer, ln(type, N) rows
-(the paper's storage) by its columns, when its first producer runs, and
-each forward step writes its children straight into their slots; a
-group with one producer takes the buffer that producer returns.  A time
-split copies its even child into a buffer of its own rather than hand on
-a strided view, which would keep the whole mother alive until the even
-child's turn, levels later.  Every table lists a type before the types
-that it produces at the same N, so a group is complete when its turn
-comes.  The backward pass then runs in reverse order and hands each
-child spectrum back as a column slice, or whole where the group spans
-it.  Every kernel works column by column and charges one operation per
-value it returns, so the slots change neither a bit of a result nor a
-count; they only replace thousands of small calls by a few dozen wide
-ones.
+Every group but the root gets its input buffer when its first producer
+runs, and each forward step writes its children straight into their
+slots.  A time split copies both children out of their mother, so no
+child pins her past her own turn.  Every table lists a type before the
+types that it produces at the same N, so a group is complete when its
+turn comes.  A leaf writes its spectrum into a buffer of its own; the
+backward pass then runs in reverse order, hands each child spectrum
+back as a column slice, and writes each group's spectrum into a buffer
+of its own, the root's into dest when one is given.  A slot or slice
+that spans its whole buffer is handed on whole.  Every kernel works
+column by column and charges one operation per value it writes, so the
+slots change neither a bit of a result nor a count; they only replace
+thousands of small calls by a few dozen wide ones.
 
-Conversions run in place.  A one-child step fed by one producer, whose
-child stores as many cells as it does (improved dc_oo and ds_oo, which
-convert onto dc_ot and ds_ot at N/2), gets no buffer of its own: its
-input is its own slot in its child's buffer, its producer writes it
-there and its forward step scales it where it lies, so the group adds
-no storage to its child's.  A step writes into its input only where
-run_levels owns it, as classical dc_to's conversion also does; the
-caller's array, which dct0 and dst0 hand over as the root, reaches the
-recursion read-only.
+Conversions run in place.  A one-child step whose child stores as many
+cells as it does (improved dc_oo and ds_oo, which convert onto dc_ot
+and ds_ot at N/2) gets no buffer of its own: its input is its own slot
+in its child's buffer, its producer writes it there and its forward
+step scales it where it lies, so the group adds no storage to its
+child's.  A step writes into its input only where run_levels owns it,
+as classical dc_to's conversion also does; the caller's array, which
+dct0 and dst0 hand over as the root, reaches the recursion read-only.
 
 The leaf sizes and children fix the whole schedule of a (table, type,
 N) root before any kernel runs: the groups in forward order, each
-child's column slot in units of the root's columns, the input shape of
-each buffer, the groups that convert in place, the backward order, and
-the last reader of each spectrum.  It is derived once, on first use,
-and cached; a call replays it with list indices.  A forward step that
-returns another number of buffers than its children, or for a child
-with a slot any buffer but that slot, raises RuntimeError, as does a
-table that lists a type after one that produces it at the same N.
+child's column slot in units of the root's columns, the shape of each
+input buffer and spectrum, the groups that convert in place, the
+backward order, and the last reader of each spectrum.  It is derived
+once, on first use, and cached; a call replays it with list indices.
+A table that lists a type after one that produces it at the same N
+raises RuntimeError.
 
 Buffers are handed over, not lent: run_levels takes its root buffer out
 of a one-element list, drops each buffer once its forward step has
@@ -71,7 +72,8 @@ A real DFT folds into one even-symmetric (cosine) and one odd-symmetric
 recombines mirrored harmonics.  These reductions and the public
 cdft/rdft/dct0/dst0 around them are the same for the classical and the
 improved recursion, so one implementation serves both, parameterized by
-the step table.
+the step table.  At N = 2 the sine problem is empty, below the smallest
+N a sine signal admits, and no recursion runs for it.
 
 Each public call runs its columns in blocks, each through that whole
 path: the folds, run_levels and cdft's recombine.  A block holds about
@@ -84,14 +86,14 @@ them, runs as one: its output is allocated only once its spectra exist,
 and its peak is that output beside the two real half spectra, 2.0 times
 its input's bytes.  Beside a small input, Python objects and one-column
 temporaries weigh more: at one float64 column, improved rdft peaks at
-2.10, 2.38 and 3.48 times its input at N = 4096, 1024 and 256 (classical
-2.36, 2.68 and 3.90) and improved cdft at 2.05, 2.19 and 2.71 (classical
+2.10, 2.38 and 3.46 times its input at N = 4096, 1024 and 256 (classical
+2.36, 2.65 and 3.77) and improved cdft at 2.05, 2.18 and 2.66 (classical
 2.30, 2.44 and 2.95); at 16 columns of N = 64, both transforms peak at
-2.16-2.34 times (classical 2.36-2.53).  A wider call allocates its one
+2.06-2.17 times (classical 2.36-2.53).  A wider call allocates its one
 output once the first block's result exists and copies that result in;
 every later block writes its spectra straight into the output's
 columns, so the call peaks at the output plus one block's working set,
-1.16-1.18 times an 8 MiB input's bytes.
+1.16-1.17 times an 8 MiB input's bytes.
 
 Input contract of the public transforms: one signal as a 1-D array, or
 independent signals as the columns of a 2-D array, of a numeric dtype
@@ -125,13 +127,12 @@ from .elaborations import (
     HALVE_TIME_CHILD,
     HARMONIC_SPLIT_CHILDREN,
     TIME_SPLIT_CHILDREN,
-    _placed,
     split_harmonic_parity_backward,
     split_harmonic_parity_forward,
     split_time_parity_backward,
     split_time_parity_forward,
 )
-from .taxonomy import ROOT_TYPE, ln, periodization
+from .taxonomy import ROOT_TYPE, lk, ln, periodization
 
 # one entry of a step table; the module docstring gives the fields
 Step = namedtuple("Step", "leaf children via base forward backward")
@@ -144,57 +145,44 @@ def run_levels(steps, sig_type, N, root, table, counter, dest=None):
     out of it: the module docstring says why.  A step may write into its
     input, as a conversion in place does, unless the input is read-only.
     The spectrum is written into dest and dest returned when dest is
-    given: the root's backward step writes it there, and a spectrum found
-    elsewhere, as a root leaf's, is copied there.
+    given.
     """
     forward, backward = _schedule(tuple(steps.items()), sig_type, N)
-    inputs = [None] * len(forward)  # group -> its input buffer
+    inputs = [None] * len(forward)  # group -> the input buffer it owns
     inputs[0] = root.pop()
-    cols = inputs[0].shape[1]
+    cols, dtype = inputs[0].shape[1], inputs[0].dtype
     spectra = [None] * len(forward)
-    for g, (step, n, home, slots) in enumerate(forward):
+    for g, (step, n, home, slots, (rows, width)) in enumerate(forward):
         if home is None:
             x = inputs[g]
             inputs[g] = None
         else:  # the group's own slot in its child's buffer
             b, c0, c1 = home
-            x = inputs[b][:, c0 * cols:c1 * cols]
+            x = inputs[b] if c0 is None else inputs[b][:, c0 * cols:c1 * cols]
         if slots is None:
-            spectra[g] = step.base(x, n, table, counter)
+            spectra[g] = np.empty((rows, width * cols), dtype) if g or dest is None else dest
+            step.base(x, n, table, counter, spectra[g])
             x = None
             continue
         if home is None:
             outs = []
-            for _, b, c0, c1, shape in slots:
-                out = None
-                if b is not None:
-                    out = inputs[b]
-                    if out is None:
-                        out = inputs[b] = np.empty((shape[0], shape[1] * cols), x.dtype)
-                    out = out[:, c0 * cols:c1 * cols]
-                outs.append(out)
+            for b, c0, c1, buf_rows, buf_width in slots:
+                buf = inputs[b]
+                if buf is None:  # the buffer's first producer runs
+                    buf = inputs[b] = np.empty((buf_rows, buf_width * cols), dtype)
+                outs.append(buf if c0 is None else buf[:, c0 * cols:c1 * cols])
         else:
             outs = [x]  # a converting group's one child slot is its own input
-        bufs = step.forward(x, n, table, counter, outs)
-        x = None
-        if len(bufs) != len(slots):
-            raise RuntimeError(f"forward step at N={n} returned {len(bufs)} buffers "
-                               f"for {len(slots)} declared children")
-        for (k, b, _, _, _), out, buf in zip(slots, outs, bufs):
-            if b is None:
-                inputs[k] = buf
-            elif buf is not out:
-                raise RuntimeError(f"forward step at N={n} returned a child buffer "
-                                   f"other than the slot it was given")
-        bufs = buf = outs = out = None
-    for g, step, n, slots, last_read in backward:
+        step.forward(x, n, table, counter, outs)
+        x = buf = outs = None
+    for g, step, n, slots, last_read, (rows, width) in backward:
         views = [spectra[k] if c0 is None else spectra[k][:, c0 * cols:c1 * cols]
                  for k, c0, c1 in slots]
         for k in last_read:
             spectra[k] = None
-        out = () if g or dest is None else (dest,)
-        spectra[g] = step.backward(n, views, counter, *out)
-    return _placed(spectra[0], dest)
+        spectra[g] = np.empty((rows, width * cols), dtype) if g or dest is None else dest
+        step.backward(n, views, counter, spectra[g])
+    return spectra[0]
 
 
 @lru_cache(maxsize=256)
@@ -204,26 +192,25 @@ def _schedule(items, sig_type, N):
     items is the table as a tuple of (type, Step) pairs: it holds the
     steps themselves, so a cached schedule is never served to another
     table.  Groups are numbered in forward order, the root first.  Column
-    ranges are in units of the root's columns.  The result is
+    ranges are in units of the root's columns, and c0 and c1 are None
+    where a range spans its whole buffer.  The result is
 
-      * forward: (step, N, home, slots) per group.  home is None for a
-        group that holds its own input, or (buffer group, c0, c1) for a
-        converting group, whose input is its own slot in its child's
-        buffer.  slots is None for a leaf; each slot (child group, buffer
-        group, c0, c1, shape) gives the group's column range in the
-        buffer that holds the child's input and the (rows, root columns)
-        of that buffer, or has buffer group None when the child takes
-        the buffer its one producer returns;
-      * backward: (group, step, N, slots, last_read) per split group in
-        backward order, where each slot (child group, c0, c1) is the
-        group's column range in the child's spectrum, c0 and c1 None
-        when it spans the whole spectrum, and last_read lists the
-        children whose spectra no later step reads.
+      * forward: (step, N, home, slots, spectrum) per group.  home is None
+        for a group that owns its input buffer, or (buffer group, c0, c1)
+        for a converting group, whose input is its own slot in its
+        child's buffer.  slots is None for a leaf; each slot (buffer
+        group, c0, c1, rows, columns) gives the group's column range in
+        the buffer that holds the child's input and that buffer's shape;
+      * backward: (group, step, N, slots, last_read, spectrum) per split
+        group in backward order, where each slot (child group, c0, c1) is
+        the group's column range in the child's spectrum and last_read
+        lists the children whose spectra no later step reads.
+
+    spectrum is the (rows, columns) of the group's spectrum.
     """
     claimed = {(sig_type, N): 1}  # pending group -> root columns claimed so far
     index = {}                    # (type, N) -> group
-    groups = []                   # ((type, N), step, N, columns, converts, child slots or None)
-    fed_twice, buffered = set(), set()  # groups fed by several producers; by a conversion
+    groups = []                   # ((type, N), step, columns, child slots or None)
     n = N
     while n:
         for t, step in items:
@@ -232,75 +219,70 @@ def _schedule(items, sig_type, N):
             if width is None:
                 continue
             index[key] = len(groups)
-            if n <= step.leaf:
-                groups.append((key, step, n, width, False, None))
-                continue
-            slots = []
-            for child_type, halvings in step.children:
-                child = (child_type, n >> halvings)
-                c0 = claimed.get(child, 0)
-                if c0:
-                    fed_twice.add(child)
-                claimed[child] = c0 + width
-                slots.append((child, c0, c0 + width))
-            # a one-child step fed by one producer, whose child stores as
-            # many cells as it does, converts in place: its input is its own
-            # slot in the child's buffer, so no storage beyond the child's
-            # ever exists.  Every producer of a group has run before it; the
-            # root's input is the caller's buffer
-            converts = (len(slots) == 1 and index[key] > 0 and key not in fed_twice
-                        and ln(*key) == ln(*child))
-            if converts:
-                buffered.add(child)
-            groups.append((key, step, n, width, converts, slots))
+            slots = None
+            if n > step.leaf:
+                slots = []
+                for child_type, halvings in step.children:
+                    child = (child_type, n >> halvings)
+                    c0 = claimed.get(child, 0)
+                    claimed[child] = c0 + width
+                    slots.append((child, c0, c0 + width))
+            groups.append((key, step, width, slots))
         n //= 2
     if claimed:
         raise RuntimeError(f"step table leaves {sorted(claimed)} unscheduled")
-    homes = {}  # group -> (buffer group, c0, buffer shape) of a group whose input is a slot
+    homes = {}   # group -> (buffer group, first column) of its input
+    shapes = {}  # buffer group -> (rows, columns) of its buffer
     forward, backward = [], []
+
+    def span(owner, c0, c1):
+        return (owner, None, None) if c0 == 0 and c1 == shapes[owner][1] else (owner, c0, c1)
+
     for g in range(len(groups) - 1, -1, -1):  # children come after their producers
-        key, step, n, width, converts, slots = groups[g]
+        key, step, width, slots = groups[g]
+        n = key[1]
+        spectrum = (lk(*key), width)
         home = None
-        if converts:
+        # a one-child step whose child stores as many cells as it does
+        # converts in place: its input is its own slot in the child's
+        # buffer, so no storage beyond the child's ever exists.  The
+        # root's input is the caller's buffer
+        if slots is not None and len(slots) == 1 and g and ln(*key) == ln(*slots[0][0]):
             child, c0, c1 = slots[0]
-            owner, o, shape = homes[index[child]]
-            homes[g] = (owner, o + c0, shape)
-            home = (owner, o + c0, o + c1)
-        elif key in fed_twice or key in buffered:
-            homes[g] = (g, 0, (ln(*key), width))
+            owner, o = homes[index[child]]
+            homes[g] = (owner, o + c0)
+            home = span(owner, o + c0, o + c1)
+        else:
+            homes[g] = (g, 0)
+            shapes[g] = (ln(*key), width)
         if slots is None:
-            forward.append((step, n, None, None))
+            forward.append((step, n, home, None, spectrum))
             continue
         fslots, bslots, last_read = [], [], []
         for child, c0, c1 in slots:
             k = index[child]
-            if k in homes:
-                owner, o, shape = homes[k]
-                fslots.append((k, owner, o + c0, o + c1, shape))
-            else:
-                fslots.append((k, None, c0, c1, None))
-            bslots.append((k, None, None) if c0 == 0 and c1 == groups[k][3] else (k, c0, c1))
+            owner, o = homes[k]
+            fslots.append(span(owner, o + c0, o + c1) + shapes[owner])
+            bslots.append((k, None, None) if c0 == 0 and c1 == groups[k][2] else (k, c0, c1))
             if c0 == 0:  # the first reader in forward order is the last in backward order
                 last_read.append(k)
-        forward.append((step, n, home, tuple(fslots)))
-        backward.append((g, step, n, tuple(bslots), tuple(last_read)))
+        forward.append((step, n, home, tuple(fslots), spectrum))
+        backward.append((g, step, n, tuple(bslots), tuple(last_read), spectrum))
     forward.reverse()
     return tuple(forward), tuple(backward)
 
 
 # -- steps both tables use ----------------------------------------------------
 
-def copy_leaf(x, N, table, counter):
+def copy_leaf(x, N, table, counter, out):
     """Leaf whose one stored sample is its one stored harmonic."""
-    return x.copy()
+    out[...] = x
 
 
-def two_point_leaf(x, N, table, counter):
+def two_point_leaf(x, N, table, counter, out):
     """dc_tt at N = 2: S(0), S(1) = s(0) +- s(1)."""
-    out = rows_like(x, 2)
     cadd(counter, x[0:1], x[1:2], out[0:1])
     csub(counter, x[0:1], x[1:2], out[1:2])
-    return out
 
 
 def time_split(sig_type, leaf, base):
@@ -312,13 +294,10 @@ def time_split(sig_type, leaf, base):
     children = ((HALVE_TIME_CHILD[even_type], 1), (odd_type, 0))
 
     def forward(x, N, table, counter, outs):
-        even, odd = split_time_parity_forward(sig_type, N, x, outs)
-        # a view would keep the whole mother alive until the even child's
-        # turn, levels later; a copy lets her go when this step returns
-        return even if outs[0] is not None else even.copy(), odd
+        split_time_parity_forward(sig_type, N, x, outs)
 
-    def backward(N, spectra, counter, out=None):
-        return split_time_parity_backward(sig_type, N, spectra[0], spectra[1], counter, out)
+    def backward(N, spectra, counter, out):
+        split_time_parity_backward(sig_type, N, spectra[0], spectra[1], counter, out)
 
     return Step(leaf, children, ((even_type, 0),), base, forward, backward)
 
@@ -332,10 +311,10 @@ def harmonic_split(sig_type, leaf, base):
     children = ((HALVE_HARMONICS_CHILD[even_type], 1), (odd_type, 0))
 
     def forward(x, N, table, counter, outs):
-        return split_harmonic_parity_forward(sig_type, N, x, counter, outs)
+        split_harmonic_parity_forward(sig_type, N, x, counter, outs)
 
-    def backward(N, spectra, counter, out=None):
-        return split_harmonic_parity_backward(sig_type, N, spectra[0], spectra[1], out)
+    def backward(N, spectra, counter, out):
+        split_harmonic_parity_backward(sig_type, N, spectra[0], spectra[1], out)
 
     return Step(leaf, children, ((even_type, 0),), base, forward, backward)
 
@@ -375,7 +354,7 @@ def complex_spectrum(z, N, steps, table, counter, out=None):
                         None if view is None else view[:m + 1])
     if odd is None:  # the ds_tt fold of the caller's own samples
         odd, x = [csub(counter, x[1:m], x[N - 1:m:-1])], None
-    spec_s = run_levels(steps, "ds_tt", N, odd, table, counter)
+    spec_s = _sine_spectrum(odd, N, steps, table, counter)
     if view is None:
         out = np.empty((N, cols), cdtype)
         view = out.view(table.dtype)
@@ -394,6 +373,17 @@ def complex_spectrum(z, N, steps, table, counter, out=None):
     return out
 
 
+def _sine_spectrum(odd, N, steps, table, counter, dest=None):
+    """Spectrum of the ds_tt fold in the one-element list odd.
+
+    At N = 2 the fold is empty, below the smallest N a ds_tt signal
+    admits, and it is its own empty spectrum: no recursion runs.
+    """
+    if N == 2:
+        return odd.pop()
+    return run_levels(steps, "ds_tt", N, odd, table, counter, dest)
+
+
 def _complex_of(dtype):
     return np.complex64 if dtype == np.float32 else np.complex128
 
@@ -405,8 +395,8 @@ def half_spectrum(x, N, steps, table, counter, out=None):
                         None if out is None else out.real)
     odd = [csub(counter, x[1:N // 2], x[N - 1:N // 2:-1])]  # the ds_tt fold
     x = None
-    spec_s = run_levels(steps, "ds_tt", N, odd, table, counter,
-                        None if out is None else out.imag[1:-1])
+    spec_s = _sine_spectrum(odd, N, steps, table, counter,
+                            None if out is None else out.imag[1:-1])
     if out is None:
         out = np.empty(spec_c.shape, _complex_of(spec_c.dtype))
         out.real = spec_c

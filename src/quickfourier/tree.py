@@ -28,7 +28,7 @@ decomposition recurses into.
 
 from dataclasses import dataclass, field
 
-from . import costmodel, taxonomy
+from . import ALGORITHMS, check_names, taxonomy
 
 
 @dataclass
@@ -95,10 +95,10 @@ def _split(steps, t, N):
 
 def build_tree(algorithm, transform, N):
     """Decomposition tree for one transform at periodization N."""
-    costmodel.check_names(algorithm, transform)
+    check_names(algorithm, transform)
     taxonomy.check_type_n(taxonomy.ROOT_TYPE[transform], N)
     root = TreeNode(taxonomy.ROOT_TYPE[transform], N, "output")
-    _expand(root, costmodel.ALGORITHMS[algorithm].STEPS)
+    _expand(root, ALGORITHMS[algorithm].STEPS)
     _assign_labels(root)
     return root
 
@@ -153,7 +153,7 @@ def allows_t1_growth(algorithm):
     The storage audit then expects the odd-harmonic cosine expansions to
     grow by one cell each way, as conservation_violations describes.
     """
-    steps = costmodel.ALGORITHMS[algorithm].STEPS
+    steps = ALGORITHMS[algorithm].STEPS
     return any("_t1" in t for step in steps.values() for t, _ in step.via)
 
 

@@ -4,7 +4,7 @@ import io
 
 import pytest
 
-from quickfourier import costmodel
+from quickfourier import ALGORITHMS, costmodel
 
 
 def test_pinned_tables_match_formulas():
@@ -25,7 +25,7 @@ def test_predictions_match_measurements_cdft(algorithm):
 
 @pytest.mark.parametrize("transform", ["rdft", "dct0", "dst0"])
 def test_predictions_match_measurements_components(transform):
-    for algorithm in costmodel.ALGORITHMS:
+    for algorithm in ALGORITHMS:
         N = 2 if transform != "dst0" else 4
         while N <= 65536:
             pred = costmodel.predicted_cost(algorithm, transform, N)
@@ -58,7 +58,7 @@ def test_validation():
 
 
 def test_cost_rows_and_csv():
-    rows = costmodel.cost_table("improved", "cdft", sizes=[16, 64])
+    rows = costmodel.cost_rows("improved", "cdft", sizes=[16, 64])
     assert [r.N for r in rows] == [16, 64]
     assert all(r.consistent for r in rows)
     assert rows[0].flops_pred == 168
@@ -74,7 +74,7 @@ def test_cost_rows_and_csv():
 
 
 def test_default_size_sweep():
-    rows = costmodel.cost_table("classical")
+    rows = costmodel.cost_rows("classical")
     assert [r.N for r in rows] == [1 << p for p in range(2, 12)]
     assert all(r.consistent for r in rows)
 

@@ -15,7 +15,7 @@ from quickfourier.elaborations import (
     split_time_parity_forward,
 )
 from quickfourier.reference import pruned_naive
-from quickfourier.taxonomy import SignalView, sto_n
+from quickfourier.taxonomy import SignalView, lk, ln, sto_n
 
 TOL = 1e-12
 
@@ -25,18 +25,31 @@ def random_view(sig_type, N, seed):
     return SignalView(sig_type, N, rng.uniform(-1.0, 1.0, len(sto_n(sig_type, N))))
 
 
+def child_buffers(children, sig_type, N, x):
+    """Empty buffers for a split's children, ln(child type, N) rows each,
+    with x's columns: a kernel writes into what it is handed."""
+    return [np.empty((ln(t, N),) + x.shape[1:]) for t in children[sig_type]]
+
+
+def spectrum_buffer(sig_type, N):
+    """An empty mother spectrum, lk(sig_type, N) cells."""
+    return np.empty(lk(sig_type, N))
+
+
 def child_views(children, mother, buffers):
     """A split's child buffers as views of the types its table names."""
     return [SignalView(t, mother.N, buf) for t, buf in zip(children[mother.type], buffers)]
 
 
 def harmonic_split(mother, counter):
-    buffers = split_harmonic_parity_forward(mother.type, mother.N, mother.buffer, counter)
+    buffers = child_buffers(HARMONIC_SPLIT_CHILDREN, mother.type, mother.N, mother.buffer)
+    split_harmonic_parity_forward(mother.type, mother.N, mother.buffer, counter, buffers)
     return child_views(HARMONIC_SPLIT_CHILDREN, mother, buffers)
 
 
 def time_split(mother):
-    buffers = split_time_parity_forward(mother.type, mother.N, mother.buffer)
+    buffers = child_buffers(TIME_SPLIT_CHILDREN, mother.type, mother.N, mother.buffer)
+    split_time_parity_forward(mother.type, mother.N, mother.buffer, buffers)
     return child_views(TIME_SPLIT_CHILDREN, mother, buffers)
 
 
@@ -75,8 +88,8 @@ def test_harmonic_split_roundtrip_and_charge(sig_type, N, want_adds):
     even, odd = harmonic_split(mother, counter)
     assert counter.adds == want_adds
     assert counter.muls == 0
-    combined = split_harmonic_parity_backward(
-        sig_type, N, pruned_naive(even), pruned_naive(odd))
+    combined = spectrum_buffer(sig_type, N)
+    split_harmonic_parity_backward(sig_type, N, pruned_naive(even), pruned_naive(odd), combined)
     assert np.allclose(combined, pruned_naive(mother), atol=TOL)
 
 
@@ -91,8 +104,9 @@ def test_time_split_roundtrip_and_charge(sig_type, N, want_adds):
     mother = random_view(sig_type, N, seed=3 * N + len(sig_type))
     even, odd = time_split(mother)  # forward is pure routing
     counter = OpCounter()
-    combined = split_time_parity_backward(
-        sig_type, N, pruned_naive(even), pruned_naive(odd), counter)
+    combined = spectrum_buffer(sig_type, N)
+    split_time_parity_backward(sig_type, N, pruned_naive(even), pruned_naive(odd), counter,
+                               combined)
     assert counter.adds == want_adds
     assert counter.muls == 0
     assert np.allclose(combined, pruned_naive(mother), atol=TOL)
@@ -133,23 +147,27 @@ def test_batched_kernels_match_per_signal():
     rng = np.random.default_rng(11)
     X = rng.uniform(-1.0, 1.0, (9, 3))  # dc_tt at N=16, three signals
     counter = OpCounter()
-    even_b, odd_b = split_harmonic_parity_forward("dc_tt", 16, X, counter)
+    even_b, odd_b = child_buffers(HARMONIC_SPLIT_CHILDREN, "dc_tt", 16, X)
+    split_harmonic_parity_forward("dc_tt", 16, X, counter, (even_b, odd_b))
     assert counter.adds == 3 * 8
     for j in range(3):
-        e1, o1 = split_harmonic_parity_forward("dc_tt", 16, X[:, j], OpCounter())
+        e1, o1 = child_buffers(HARMONIC_SPLIT_CHILDREN, "dc_tt", 16, X[:, j])
+        split_harmonic_parity_forward("dc_tt", 16, X[:, j], OpCounter(), (e1, o1))
         assert np.allclose(even_b[:, j], e1)
         assert np.allclose(odd_b[:, j], o1)
-    e_b, o_b = split_time_parity_forward("ds_tt", 16, X[:7])
+    e_b, o_b = child_buffers(TIME_SPLIT_CHILDREN, "ds_tt", 16, X[:7])
+    split_time_parity_forward("ds_tt", 16, X[:7], (e_b, o_b))
     for j in range(3):
-        e1, o1 = split_time_parity_forward("ds_tt", 16, X[:7, j])
+        e1, o1 = child_buffers(TIME_SPLIT_CHILDREN, "ds_tt", 16, X[:7, j])
+        split_time_parity_forward("ds_tt", 16, X[:7, j], (e1, o1))
         assert np.allclose(e_b[:, j], e1)
         assert np.allclose(o_b[:, j], o1)
 
 
 def test_unsupported_types_raise():
     with pytest.raises(ValueError):
-        split_time_parity_forward("dc_ot", 16, np.zeros(4))
+        split_time_parity_forward("dc_ot", 16, np.zeros(4), (np.zeros(2), np.zeros(2)))
     with pytest.raises(ValueError):
-        split_time_parity_forward("dc_t1t", 16, np.zeros(8))
+        split_time_parity_forward("dc_t1t", 16, np.zeros(8), (np.zeros(4), np.zeros(4)))
     with pytest.raises(ValueError):
-        split_harmonic_parity_backward("dc_te", 16, np.zeros(3), np.zeros(2))
+        split_harmonic_parity_backward("dc_te", 16, np.zeros(3), np.zeros(2), np.zeros(5))

@@ -12,10 +12,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import quickfourier
-from quickfourier import classical, counting, improved, shared, tree
+from quickfourier import classical, costmodel, counting, improved, reference, shared, tree
 from quickfourier.counting import OpCounter, TrigTable
 from quickfourier.shared import Step, run_levels
-from quickfourier.taxonomy import ln, stored_length
+from quickfourier.taxonomy import lk, ln, stored_length
 
 MODULES = {"classical": classical, "improved": improved}
 
@@ -308,19 +308,31 @@ def test_the_callers_array_is_never_written(algorithm, transform, dtype, layout,
     assert got.tobytes() == want.tobytes()
 
 
+def sized(arrays, size, children, N, cols):
+    """Whether arrays hold size(child type, child N) rows each, by cols."""
+    return [a.shape for a in arrays] == [(size(c, N >> h), cols) for c, h in children]
+
+
 def logged(t, step, calls):
-    """step with each call of its base, forward and backward logged to calls."""
-    def base(x, N, table, counter):
+    """step with each call of its base, forward and backward logged to calls.
+
+    Each call also checks the buffers it is handed: ln(type, N) rows for
+    an input, lk(type, N) rows for a spectrum, each by the input's columns.
+    """
+    def base(x, N, table, counter, out):
         calls.append(("base", t, N))
-        return step.base(x, N, table, counter)
+        assert x.shape[0] == ln(t, N) and out.shape == (lk(t, N), x.shape[1])
+        step.base(x, N, table, counter, out)
 
     def forward(x, N, table, counter, outs):
         calls.append(("forward", t, N))
-        return step.forward(x, N, table, counter, outs)
+        assert x.shape[0] == ln(t, N) and sized(outs, ln, step.children, N, x.shape[1])
+        step.forward(x, N, table, counter, outs)
 
-    def backward(N, spectra, counter):
+    def backward(N, spectra, counter, out):
         calls.append(("backward", t, N))
-        return step.backward(N, spectra, counter)
+        assert out.shape[0] == lk(t, N) and sized(spectra, lk, step.children, N, out.shape[1])
+        step.backward(N, spectra, counter, out)
 
     return step._replace(base=base, forward=forward, backward=backward)
 
@@ -383,102 +395,92 @@ def test_rebuilt_table_runs_its_own_steps():
             assert ("backward", "dc_tt", 128) in calls
 
 
-def leaf_step(x, N, table, counter):
-    return x
+def leaf_step(x, N, table, counter, out):
+    out[...] = x
 
 
-def first_spectrum(N, spectra, counter):
-    return spectra[0]
+def first_child(x, N, table, counter, outs):
+    outs[0][...] = x
+
+
+def first_spectrum(N, spectra, counter, out):
+    out[...] = spectra[0]
 
 
 def test_misordered_table_is_rejected():
     # "b" produces "a" at the same N but comes after it: "a" would be
     # scheduled after its level had already run
-    def split(x, N, table, counter, outs):
-        return (x,)
-
     steps = {
         "a": Step(1, (), (), leaf_step, None, None),
-        "b": Step(1, (("a", 0),), (), None, split, first_spectrum),
+        "b": Step(1, (("a", 0),), (), None, first_child, first_spectrum),
     }
     with pytest.raises(RuntimeError, match="unscheduled"):
         run_levels(steps, "b", 4, [np.zeros((3, 1))], TrigTable(), OpCounter())
 
 
-@pytest.mark.parametrize("returned", [0, 2])
-def test_forward_returns_its_declared_children(returned):
-    # zip would silently drop a surplus buffer, and a missing one would
-    # surface as an unrelated error at the child's level
-    def split(x, N, table, counter, outs):
-        return (x,) * returned
+class NaNFilled:
+    """numpy, but empty fills what it allocates with NaN."""
 
-    steps = {
-        "b": Step(2, (("a", 1),), (), None, split, first_spectrum),
-        "a": Step(2, (), (), leaf_step, None, None),
-    }
-    with pytest.raises(RuntimeError, match="declared"):
-        run_levels(steps, "b", 4, [np.zeros((3, 1))], TrigTable(), OpCounter())
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    @staticmethod
+    def empty(shape, dtype=float):
+        return np.full(shape, np.nan, dtype)
 
 
+@pytest.mark.parametrize("root", ["dc_tt", "ds_tt"])
 @pytest.mark.parametrize("algorithm", sorted(MODULES))
-def test_forward_writes_into_its_slots(algorithm):
-    # a group fed by several producers is read from the buffer its slots
-    # belong to: a child returned anywhere else would leave its slot
-    # uninitialised, so it must raise
-    steps = dict(MODULES[algorithm].STEPS)
-    for t, step in steps.items():
-        if step.forward is not None:
-            def forward(x, N, table, counter, outs, step=step):
-                return tuple(np.copy(buf) for buf in
-                             step.forward(x, N, table, counter, [None] * len(outs)))
+def test_steps_write_every_cell_they_are_handed(algorithm, root, monkeypatch):
+    # run_levels allocates every input buffer and spectrum and each step
+    # writes into what it is handed: with those allocations filled with
+    # NaN, a run must give the bits of a normal run, and a forward step
+    # that skips a child must leave NaN in the spectrum
+    steps = MODULES[algorithm].STEPS
+    rng = np.random.default_rng(14)
+    sizes = [1 << lg for lg in range(1 if root == "dc_tt" else 2, 13)]
+    inputs = {N: rng.uniform(-0.5, 0.5, (ln(root, N), 5)) for N in sizes}
 
-            steps[t] = step._replace(forward=forward)
-    x = np.random.default_rng(6).uniform(-0.5, 0.5, (129, 2))
-    with pytest.raises(RuntimeError, match="slot"):
-        run_levels(steps, "dc_tt", 256, [x], TrigTable(), OpCounter())
+    def run(steps, N):
+        return run_levels(steps, root, N, [inputs[N].copy()], TrigTable(), OpCounter())
+
+    want = {N: run(steps, N) for N in sizes}
+    monkeypatch.setattr(shared, "np", NaNFilled())
+    for N in sizes:
+        got = run(steps, N)
+        assert not np.isnan(got).any(), N
+        assert got.tobytes() == want[N].tobytes(), N
+    step = steps[root]
+    for skipped in range(len(step.children)):
+        def forward(x, N, table, counter, outs, skipped=skipped):
+            outs = list(outs)
+            outs[skipped] = np.empty_like(outs[skipped])  # written, then dropped
+            step.forward(x, N, table, counter, outs)
+
+        assert np.isnan(run({**steps, root: step._replace(forward=forward)}, 256)).any()
 
 
 @pytest.mark.parametrize("root", ["dc_tt", "ds_tt"])
 @pytest.mark.parametrize("algorithm", sorted(MODULES))
 def test_schedule_converts_in_place_only_the_odd_odd_splits(algorithm, root):
-    # a one-child step fed by one producer, whose child stores as many
-    # cells, takes its own slot in the child's buffer as its input: that is
-    # improved's dc_oo and ds_oo, never a leaf, and nothing classical
+    # a one-child step whose child stores as many cells takes its own slot
+    # in the child's buffer as its input: that is improved's dc_oo and
+    # ds_oo, never a leaf, and nothing classical
     steps = MODULES[algorithm].STEPS
     types = {id(step): t for t, step in steps.items()}
     converting = {"classical": set(), "improved": {"dc_oo", "ds_oo"}}[algorithm]
     for lg in range(2, 13):
         forward, _ = shared._schedule(tuple(steps.items()), root, 1 << lg)
-        for step, n, home, slots in forward:
+        for step, n, home, slots, _ in forward:
             t = types[id(step)]
             if t in converting and slots is not None:
-                (child, *slot, shape), = slots
-                assert home == tuple(slot), (t, n)
+                (slot,) = slots
+                assert home == slot[:3], (t, n)
             else:
                 assert home is None, (t, n)
     if converting:
         forward, _ = shared._schedule(tuple(steps.items()), root, 256)
-        assert any(home is not None for _, _, home, _ in forward)
-
-
-@pytest.mark.parametrize("broken", ["converting step", "its producer"])
-def test_conversion_runs_in_its_slot(broken):
-    # the input of a converting group is its own slot in its child's
-    # buffer: a conversion that scaled a fresh copy, or a producer that
-    # wrote the odd-odd child anywhere else, would leave that slot
-    # uninitialised, so either must raise
-    steps = dict(improved.STEPS)
-    for t in ("dc_oo", "ds_oo") if broken == "converting step" else ("dc_ot", "ds_ot"):
-        step = steps[t]
-
-        def forward(x, N, table, counter, outs, step=step):
-            outs = [None] * len(outs) if len(outs) == 1 else [outs[0], None]
-            return step.forward(x, N, table, counter, outs)
-
-        steps[t] = step._replace(forward=forward)
-    x = np.random.default_rng(12).uniform(-0.5, 0.5, (129, 2))
-    with pytest.raises(RuntimeError, match="slot"):
-        run_levels(steps, "dc_tt", 256, [x], TrigTable(), OpCounter())
+        assert any(home is not None for _, _, home, _, _ in forward)
 
 
 @pytest.mark.parametrize("root,N", [("dc_tt", 2), ("dc_tt", 256), ("ds_tt", 4), ("ds_tt", 256)])
@@ -501,3 +503,22 @@ def test_run_levels_writes_into_dest(algorithm, root, N):
     outside = np.ones(frame.shape, bool)
     outside[1:-1, 1::2] = False
     assert (frame[outside] == -7.0).all()
+
+
+@pytest.mark.parametrize("ndim", [1, 2])
+@pytest.mark.parametrize("transform", ["cdft", "rdft"])
+@pytest.mark.parametrize("algorithm", sorted(MODULES))
+def test_two_point_spectra_match_brute_force(algorithm, transform, ndim):
+    # at N = 2 the sine fold is empty, below the smallest N of a ds_tt
+    # signal, so the drivers run no sine recursion at all
+    x = signals(transform, 2, 3, np.float64, 13)
+    if ndim == 1:
+        x = x[:, 0]
+    counter = OpCounter()
+    got = getattr(MODULES[algorithm], transform)(x, counter=counter)
+    want = getattr(reference, f"{transform}_naive")(x)
+    assert got.shape == want.shape
+    assert np.allclose(got, want, rtol=0, atol=1e-15)
+    per_column = costmodel.predicted_cost(algorithm, transform, 2)
+    columns = 1 if ndim == 1 else x.shape[1]
+    assert (counter.adds, counter.muls) == tuple(columns * c for c in per_column)
