@@ -31,6 +31,12 @@ nothing:
                 ds_e1o(N); via ds_t1o(N), ds_te(N)   in place
   ds_e1o  any   never splits: its one sample is its one harmonic
 
+Each entry is a literal Step.  The harmonic splits of dc_tt and ds_tt,
+the interleaves and the leaves copy_leaf and two_point_leaf are step
+functions of elaborations; the dc_to and ds_to conversions are this
+module's own, and dc_to's forward step calls elaborations' dc_t1t split
+on its converted signal.
+
 All arithmetic flows through the counted helpers and every constant
 comes from the TrigTable, so operation counts and the constant footprint
 are exact.  Buffers follow the stored-slot order of the taxonomy, one
@@ -40,9 +46,11 @@ shared.entry_points, bound to this table.
 
 import math
 
-from .counting import cadd, cmul, cmul_rows, csub, rows_like
-from .elaborations import split_harmonic_parity_forward
-from .shared import Step, copy_leaf, entry_points, harmonic_split, two_point_leaf
+from .counting import cadd, cmul, cmul_rows, csub
+from .elaborations import (copy_leaf, dc_harmonic_backward, dc_t1t_harmonic_forward,
+                           dc_tt_harmonic_forward, ds_harmonic_backward, ds_tt_harmonic_forward,
+                           two_point_leaf)
+from .shared import Step, entry_points
 
 
 def _dct_odd_leaf(x, N, table, counter, out):
@@ -59,16 +67,14 @@ def _dct_odd_leaf(x, N, table, counter, out):
 def _dct_odd_forward(x, N, table, counter, outs):
     """dc_to buffer [s(0)..s(N/4-1)]: convert to dc_t1t at N/2, split its harmonics.
 
-    The conversion scales x in place, as both store N/4 cells, unless x
-    is read-only, as a root may be.
+    The conversion scales x in place, as both store N/4 cells: dc_to is
+    never a root, so x is always a buffer that run_levels owns.
     """
-    q = N // 4
-    conv = x if x.flags.writeable else rows_like(x, q)
-    cmul(counter, x[0], table.half, conv[0])  # zero angle: plain halving, still one multiply
-    cmul_rows(counter, x[1:], table.half_secants(N, range(1, q)), conv[1:])
+    cmul(counter, x[0], table.half, x[0])  # zero angle: plain halving, still one multiply
+    cmul_rows(counter, x[1:], table.half_secants(N, range(1, N // 4)), x[1:])
     # converted signal: its even harmonics at half periodization carry
     # everything needed; split it by harmonic parity
-    split_harmonic_parity_forward("dc_t1t", N // 2, conv, counter, outs)
+    dc_t1t_harmonic_forward(x, N // 2, table, counter, outs)
 
 
 def _dct_odd_backward(N, spectra, counter, out):
@@ -106,11 +112,13 @@ def _dst_odd_backward(N, spectra, counter, out):
 
 
 STEPS = {
-    "dc_tt": harmonic_split("dc_tt", 2, two_point_leaf),
+    "dc_tt": Step(2, (("dc_tt", 1), ("dc_to", 0)), (("dc_te", 0),),
+                  two_point_leaf, dc_tt_harmonic_forward, dc_harmonic_backward),
     "dc_to": Step(8, (("dc_tt", 2), ("dc_to", 1)),
                   (("dc_t1e", 0), ("dc_t1t", 1), ("dc_te", 1)),
                   _dct_odd_leaf, _dct_odd_forward, _dct_odd_backward),
-    "ds_tt": harmonic_split("ds_tt", 4, copy_leaf),
+    "ds_tt": Step(4, (("ds_tt", 1), ("ds_to", 0)), (("ds_te", 0),),
+                  copy_leaf, ds_tt_harmonic_forward, ds_harmonic_backward),
     "ds_to": Step(4, (("ds_tt", 1), ("ds_e1o", 0)), (("ds_t1o", 0), ("ds_te", 0)),
                   copy_leaf, _dst_odd_forward, _dst_odd_backward),  # S(1) = s(1) at N=4
     # the centre sample s(N/4) is its own one odd harmonic at every N

@@ -35,6 +35,11 @@ nothing:
   ds_oo  N=8   half-secant conversion in place ->    neighbour sums
                ds_ot(N/2); via ds_oe(N)
 
+Each entry is a literal Step.  The time splits, the harmonic splits of
+dc_ot and ds_ot, their backward steps and the leaves copy_leaf and
+two_point_leaf are step functions of elaborations; the odd-odd
+conversions and their leaves are this module's own.
+
 The complex and real drivers and the public cdft/rdft/dct0/dst0 are
 shared with the classical variant: they come from shared.entry_points,
 bound to this table.
@@ -45,7 +50,11 @@ taxonomy, one signal per column.
 """
 
 from .counting import cadd, cmul, cmul_rows
-from .shared import Step, copy_leaf, entry_points, harmonic_split, time_split, two_point_leaf
+from .elaborations import (copy_leaf, dc_harmonic_backward, dc_ot_harmonic_forward,
+                           dc_time_backward, dc_time_forward, ds_harmonic_backward,
+                           ds_ot_harmonic_forward, ds_time_backward, ds_time_forward,
+                           two_point_leaf)
+from .shared import Step, entry_points
 
 
 def _convert_odd_odd(x, N, table, counter, outs):
@@ -87,12 +96,16 @@ def _dst_oo_backward(N, spectra, counter, out):
 
 
 STEPS = {
-    "dc_tt": time_split("dc_tt", 2, two_point_leaf),
-    "dc_ot": harmonic_split("dc_ot", 4, copy_leaf),  # S(0) = s(1) at N=4
+    "dc_tt": Step(2, (("dc_tt", 1), ("dc_ot", 0)), (("dc_et", 0),),
+                  two_point_leaf, dc_time_forward, dc_time_backward),
+    "dc_ot": Step(4, (("dc_ot", 1), ("dc_oo", 0)), (("dc_oe", 0),),
+                  copy_leaf, dc_ot_harmonic_forward, dc_harmonic_backward),  # S(0) = s(1) at N=4
     "dc_oo": Step(8, (("dc_ot", 1),), (("dc_oe", 0),),
                   _dct_oo_leaf, _convert_odd_odd, _dct_oo_backward),
-    "ds_tt": time_split("ds_tt", 4, copy_leaf),
-    "ds_ot": harmonic_split("ds_ot", 4, copy_leaf),  # S(1) = s(1) at N=4
+    "ds_tt": Step(4, (("ds_tt", 1), ("ds_ot", 0)), (("ds_et", 0),),
+                  copy_leaf, ds_time_forward, ds_time_backward),
+    "ds_ot": Step(4, (("ds_ot", 1), ("ds_oo", 0)), (("ds_oe", 0),),
+                  copy_leaf, ds_ot_harmonic_forward, ds_harmonic_backward),  # S(1) = s(1) at N=4
     "ds_oo": Step(8, (("ds_ot", 1),), (("ds_oe", 0),),
                   _dst_oo_leaf, _convert_odd_odd, _dst_oo_backward),
 }

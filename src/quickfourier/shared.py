@@ -15,6 +15,12 @@ signal type (dc_tt, dc_ot, ds_to, ...) to a Step.  A Step gives
   * backward(N, spectra, counter, out): writes the spectrum, from the
     children's spectra in the order of children, into out.
 
+Every entry is a literal Step: the table states each split's children
+and via itself.  The step functions of the time- and harmonic-parity
+splits, one per signal type, and the leaves both tables use live in
+elaborations; this module holds only the scheduler, the drivers and the
+entry points.
+
 Step functions allocate nothing and return nothing: run_levels owns
 every buffer a recursion uses.  An input buffer holds ln(type, N) rows
 and a spectrum lk(type, N) rows, the paper's storage of the signal, by
@@ -47,9 +53,10 @@ cells as it does (improved dc_oo and ds_oo, which convert onto dc_ot
 and ds_ot at N/2) gets no buffer of its own: its input is its own slot
 in its child's buffer, its producer writes it there and its forward
 step scales it where it lies, so the group adds no storage to its
-child's.  A step writes into its input only where run_levels owns it,
-as classical dc_to's conversion also does; the caller's array, which
-dct0 and dst0 hand over as the root, reaches the recursion read-only.
+child's.  Classical dc_to's conversion scales its input in place too;
+dc_to is never a root, so that input is always a buffer run_levels
+owns.  No root type converts, and the caller's array, which dct0 and
+dst0 hand over as the root, reaches the recursion read-only.
 
 The leaf sizes and children fix the whole schedule of a (table, type,
 N) root before any kernel runs: the groups in forward order, each
@@ -122,16 +129,6 @@ from functools import lru_cache
 import numpy as np
 
 from .counting import OpCounter, TrigTable, cadd, csub, rows_like
-from .elaborations import (
-    HALVE_HARMONICS_CHILD,
-    HALVE_TIME_CHILD,
-    HARMONIC_SPLIT_CHILDREN,
-    TIME_SPLIT_CHILDREN,
-    split_harmonic_parity_backward,
-    split_harmonic_parity_forward,
-    split_time_parity_backward,
-    split_time_parity_forward,
-)
 from .taxonomy import ROOT_TYPE, lk, ln, periodization
 
 # one entry of a step table; the module docstring gives the fields
@@ -142,8 +139,8 @@ def run_levels(steps, sig_type, N, root, table, counter, dest=None):
     """Spectrum of a sig_type buffer at periodization N, run level by level.
 
     root is a one-element list holding the buffer, which run_levels takes
-    out of it: the module docstring says why.  A step may write into its
-    input, as a conversion in place does, unless the input is read-only.
+    out of it: the module docstring says why.  Only a conversion writes
+    into its input, and no root type converts, so root is never written.
     The spectrum is written into dest and dest returned when dest is
     given.
     """
@@ -270,53 +267,6 @@ def _schedule(items, sig_type, N):
         backward.append((g, step, n, tuple(bslots), tuple(last_read), spectrum))
     forward.reverse()
     return tuple(forward), tuple(backward)
-
-
-# -- steps both tables use ----------------------------------------------------
-
-def copy_leaf(x, N, table, counter, out):
-    """Leaf whose one stored sample is its one stored harmonic."""
-    out[...] = x
-
-
-def two_point_leaf(x, N, table, counter, out):
-    """dc_tt at N = 2: S(0), S(1) = s(0) +- s(1)."""
-    cadd(counter, x[0:1], x[1:2], out[0:1])
-    csub(counter, x[0:1], x[1:2], out[1:2])
-
-
-def time_split(sig_type, leaf, base):
-    """Step that splits time by parity: even child at N/2, odd child at N.
-
-    The even child is formed at N and reread at N/2: its one transient.
-    """
-    even_type, odd_type = TIME_SPLIT_CHILDREN[sig_type]
-    children = ((HALVE_TIME_CHILD[even_type], 1), (odd_type, 0))
-
-    def forward(x, N, table, counter, outs):
-        split_time_parity_forward(sig_type, N, x, outs)
-
-    def backward(N, spectra, counter, out):
-        split_time_parity_backward(sig_type, N, spectra[0], spectra[1], counter, out)
-
-    return Step(leaf, children, ((even_type, 0),), base, forward, backward)
-
-
-def harmonic_split(sig_type, leaf, base):
-    """Step that splits harmonics by parity: even child at N/2, odd child at N.
-
-    The even child is formed at N and reread at N/2: its one transient.
-    """
-    even_type, odd_type = HARMONIC_SPLIT_CHILDREN[sig_type]
-    children = ((HALVE_HARMONICS_CHILD[even_type], 1), (odd_type, 0))
-
-    def forward(x, N, table, counter, outs):
-        split_harmonic_parity_forward(sig_type, N, x, counter, outs)
-
-    def backward(N, spectra, counter, out):
-        split_harmonic_parity_backward(sig_type, N, spectra[0], spectra[1], out)
-
-    return Step(leaf, children, ((even_type, 0),), base, forward, backward)
 
 
 # -- real and complex drivers -------------------------------------------------

@@ -1,23 +1,30 @@
-"""Round-trip checks of the elaborations against the brute-force spectra."""
+"""Round-trip checks of the step tables' splits against the brute-force spectra."""
 
 import numpy as np
 import pytest
 
-from quickfourier.counting import OpCounter
+from quickfourier import classical, elaborations, improved
+from quickfourier.counting import OpCounter, TrigTable
 from quickfourier.elaborations import (
-    HALVE_HARMONICS_CHILD,
-    HALVE_TIME_CHILD,
-    HARMONIC_SPLIT_CHILDREN,
-    TIME_SPLIT_CHILDREN,
-    split_harmonic_parity_backward,
-    split_harmonic_parity_forward,
-    split_time_parity_backward,
-    split_time_parity_forward,
+    dc_harmonic_backward,
+    dc_t1t_harmonic_forward,
+    dc_time_forward,
+    dc_tt_harmonic_forward,
+    ds_time_forward,
 )
 from quickfourier.reference import pruned_naive
 from quickfourier.taxonomy import SignalView, lk, ln, sto_n
 
 TOL = 1e-12
+TABLES = {"classical": classical.STEPS, "improved": improved.STEPS}
+
+# every step that splits, conversions included, as (algorithm, type)
+SPLITTING = [(algorithm, t) for algorithm, steps in TABLES.items()
+             for t, step in steps.items() if step.children]
+# the time- and harmonic-parity splits: steps whose forward is a plain split
+SPLITS = [(algorithm, t) for algorithm, t in SPLITTING
+          if TABLES[algorithm][t].forward.__module__ == elaborations.__name__]
+TIME_FORWARDS = (dc_time_forward, ds_time_forward)
 
 
 def random_view(sig_type, N, seed):
@@ -25,149 +32,123 @@ def random_view(sig_type, N, seed):
     return SignalView(sig_type, N, rng.uniform(-1.0, 1.0, len(sto_n(sig_type, N))))
 
 
-def child_buffers(children, sig_type, N, x):
-    """Empty buffers for a split's children, ln(child type, N) rows each,
-    with x's columns: a kernel writes into what it is handed."""
-    return [np.empty((ln(t, N),) + x.shape[1:]) for t in children[sig_type]]
+def round_trip(step, sig_type, N, seed):
+    """Run step's forward on a seeded (ln, 1) column and its backward on the
+    brute-force spectra of the children, each typed as the table declares.
+
+    Returns (mother's spectrum, backward's spectrum, forward counter,
+    backward counter).
+    """
+    mother = random_view(sig_type, N, seed)
+    x = mother.buffer[:, None].copy()  # a conversion scales its input in place
+    outs = [np.empty((ln(t, N >> h), 1)) for t, h in step.children]
+    forward = OpCounter()
+    step.forward(x, N, TrigTable(), forward, outs)
+    spectra = [pruned_naive(SignalView(t, N >> h, out[:, 0]))[:, None]
+               for (t, h), out in zip(step.children, outs)]
+    combined = np.empty((lk(sig_type, N), 1))
+    backward = OpCounter()
+    step.backward(N, spectra, backward, combined)
+    return pruned_naive(mother), combined[:, 0], forward, backward
 
 
-def spectrum_buffer(sig_type, N):
-    """An empty mother spectrum, lk(sig_type, N) cells."""
-    return np.empty(lk(sig_type, N))
+@pytest.mark.parametrize("N", [16, 64])
+@pytest.mark.parametrize("algorithm,sig_type", SPLITTING)
+def test_every_split_roundtrips(algorithm, sig_type, N):
+    want, got, _, _ = round_trip(TABLES[algorithm][sig_type], sig_type, N, seed=N + len(sig_type))
+    assert np.allclose(got, want, atol=TOL)
 
 
-def child_views(children, mother, buffers):
-    """A split's child buffers as views of the types its table names."""
-    return [SignalView(t, mother.N, buf) for t, buf in zip(children[mother.type], buffers)]
+# a harmonic split charges two adds per paired time index in its forward
+# step, a time split two per mirrored harmonic pair in its backward step
+SPLIT_ADDS = {"dc_tt": lambda N: N // 2, "ds_tt": lambda N: N // 2 - 2,
+              "dc_ot": lambda N: N // 4, "ds_ot": lambda N: N // 4}
 
 
-def harmonic_split(mother, counter):
-    buffers = child_buffers(HARMONIC_SPLIT_CHILDREN, mother.type, mother.N, mother.buffer)
-    split_harmonic_parity_forward(mother.type, mother.N, mother.buffer, counter, buffers)
-    return child_views(HARMONIC_SPLIT_CHILDREN, mother, buffers)
+@pytest.mark.parametrize("N", [16, 64])
+@pytest.mark.parametrize("algorithm,sig_type", SPLITS)
+def test_split_charges(algorithm, sig_type, N):
+    step = TABLES[algorithm][sig_type]
+    _, _, forward, backward = round_trip(step, sig_type, N, seed=3 * N + len(sig_type))
+    adds = SPLIT_ADDS[sig_type](N)
+    time = step.forward in TIME_FORWARDS
+    assert (forward.adds, backward.adds) == ((0, adds) if time else (adds, 0))
+    assert forward.muls == backward.muls == 0
 
 
-def time_split(mother):
-    buffers = child_buffers(TIME_SPLIT_CHILDREN, mother.type, mother.N, mother.buffer)
-    split_time_parity_forward(mother.type, mother.N, mother.buffer, buffers)
-    return child_views(TIME_SPLIT_CHILDREN, mother, buffers)
-
-
-def test_dispatch_tables():
-    assert TIME_SPLIT_CHILDREN == {
-        "dc_tt": ("dc_et", "dc_ot"),
-        "ds_tt": ("ds_et", "ds_ot"),
-    }
-    assert HARMONIC_SPLIT_CHILDREN == {
-        "dc_tt": ("dc_te", "dc_to"),
-        "dc_ot": ("dc_oe", "dc_oo"),
-        "ds_tt": ("ds_te", "ds_to"),
-        "ds_ot": ("ds_oe", "ds_oo"),
-        "dc_t1t": ("dc_te", "dc_to"),
-    }
-    assert HALVE_HARMONICS_CHILD == {
-        "dc_te": "dc_tt", "dc_oe": "dc_ot", "ds_te": "ds_tt",
-        "ds_oe": "ds_ot", "dc_t1e": "dc_t1t",
-    }
-    assert HALVE_TIME_CHILD == {"dc_et": "dc_tt", "ds_et": "ds_tt"}
-
-
-HARMONIC_CASES = [
-    ("dc_tt", 16, 16 // 2), ("dc_tt", 64, 64 // 2),
-    ("ds_tt", 16, 16 // 2 - 2), ("ds_tt", 64, 64 // 2 - 2),
-    ("dc_ot", 16, 16 // 4), ("dc_ot", 64, 64 // 4),
-    ("ds_ot", 16, 16 // 4), ("ds_ot", 64, 64 // 4),
-    ("dc_t1t", 16, 16 // 2), ("dc_t1t", 64, 64 // 2),
-]
-
-
-@pytest.mark.parametrize("sig_type,N,want_adds", HARMONIC_CASES)
-def test_harmonic_split_roundtrip_and_charge(sig_type, N, want_adds):
-    mother = random_view(sig_type, N, seed=N + len(sig_type))
+@pytest.mark.parametrize("N", [16, 64])
+def test_t1t_harmonic_split_roundtrip_and_charge(N):
+    # classical dc_to's converted signal: dc_t1t at N splits into dc_te
+    # and dc_to, both at N
+    mother = random_view("dc_t1t", N, seed=N + 6)
+    even, odd = np.empty(ln("dc_te", N)), np.empty(ln("dc_to", N))
     counter = OpCounter()
-    even, odd = harmonic_split(mother, counter)
-    assert counter.adds == want_adds
-    assert counter.muls == 0
-    combined = spectrum_buffer(sig_type, N)
-    split_harmonic_parity_backward(sig_type, N, pruned_naive(even), pruned_naive(odd), combined)
-    assert np.allclose(combined, pruned_naive(mother), atol=TOL)
-
-
-TIME_CASES = [
-    ("dc_tt", 16, 8), ("dc_tt", 64, 32),
-    ("ds_tt", 16, 6), ("ds_tt", 64, 30),
-]
-
-
-@pytest.mark.parametrize("sig_type,N,want_adds", TIME_CASES)
-def test_time_split_roundtrip_and_charge(sig_type, N, want_adds):
-    mother = random_view(sig_type, N, seed=3 * N + len(sig_type))
-    even, odd = time_split(mother)  # forward is pure routing
-    counter = OpCounter()
-    combined = spectrum_buffer(sig_type, N)
-    split_time_parity_backward(sig_type, N, pruned_naive(even), pruned_naive(odd), counter,
-                               combined)
-    assert counter.adds == want_adds
-    assert counter.muls == 0
+    dc_t1t_harmonic_forward(mother.buffer, N, TrigTable(), counter, (even, odd))
+    assert (counter.adds, counter.muls) == (N // 2, 0)
+    combined = np.empty(lk("dc_t1t", N))
+    dc_harmonic_backward(N, [pruned_naive(SignalView("dc_te", N, even)),
+                             pruned_naive(SignalView("dc_to", N, odd))], OpCounter(), combined)
     assert np.allclose(combined, pruned_naive(mother), atol=TOL)
 
 
 def test_t1t_harmonic_split_charges_the_zero_pair():
-    mother = SignalView("dc_t1t", 8, [1.0, 2.0, 3.0, 4.0])
+    even, odd = np.empty(3), np.empty(2)
     counter = OpCounter()
-    even, odd = harmonic_split(mother, counter)
+    dc_t1t_harmonic_forward(np.array([1.0, 2.0, 3.0, 4.0]), 8, TrigTable(), counter, (even, odd))
     # pairs: (0, missing zero) and (1, 3); index 2 is the free middle copy
     assert counter.adds == 4
-    assert np.all(even.buffer == [1.0, 6.0, 3.0])
-    assert np.all(odd.buffer == [1.0, -2.0])
+    assert np.all(even == [1.0, 6.0, 3.0])
+    assert np.all(odd == [1.0, -2.0])
 
 
-@pytest.mark.parametrize("sig_type,N", [
-    ("dc_te", 16), ("dc_oe", 16), ("ds_te", 16), ("ds_oe", 16),
-    ("dc_t1e", 16), ("dc_te", 64), ("ds_oe", 64),
-])
-def test_halve_even_harmonics_preserves_spectrum(sig_type, N):
-    view = random_view(sig_type, N, seed=N)
-    child = SignalView(HALVE_HARMONICS_CHILD[sig_type], N // 2, view.buffer)
-    assert child.N == N // 2
-    assert child.buffer is view.buffer
-    assert np.allclose(pruned_naive(child), pruned_naive(view), atol=TOL)
+def halvings(time):
+    """(via type, first child type) of every time or harmonic split in the tables."""
+    pairs = {(step.via[0][0], step.children[0][0]) for step in
+             (TABLES[a][t] for a, t in SPLITS) if (step.forward in TIME_FORWARDS) == time}
+    return sorted(pairs)
 
 
-@pytest.mark.parametrize("sig_type,N", [("dc_et", 16), ("ds_et", 16), ("dc_et", 64), ("ds_et", 64)])
-def test_halve_even_times_preserves_spectrum(sig_type, N):
-    view = random_view(sig_type, N, seed=N + 1)
+@pytest.mark.parametrize("N", [16, 64])
+@pytest.mark.parametrize("via,child", halvings(time=False))
+def test_halve_even_harmonics_preserves_spectrum(via, child, N):
+    view = random_view(via, N, seed=N)
+    halved = SignalView(child, N // 2, view.buffer)
+    assert halved.buffer is view.buffer
+    assert np.allclose(pruned_naive(halved), pruned_naive(view), atol=TOL)
+
+
+@pytest.mark.parametrize("N", [16, 64])
+@pytest.mark.parametrize("via,child", halvings(time=True))
+def test_halve_even_times_preserves_spectrum(via, child, N):
+    view = random_view(via, N, seed=N + 1)
     # even-time halving keeps the values and reindexes n -> n/2
-    child = SignalView(HALVE_TIME_CHILD[sig_type], N // 2, view.buffer)
-    assert child.N == N // 2
-    assert np.allclose(pruned_naive(child), pruned_naive(view), atol=TOL)
+    halved = SignalView(child, N // 2, view.buffer)
+    assert np.allclose(pruned_naive(halved), pruned_naive(view), atol=TOL)
+
+
+def test_halvings_cover_both_kinds():
+    assert halvings(time=False) == [("dc_oe", "dc_ot"), ("dc_te", "dc_tt"),
+                                    ("ds_oe", "ds_ot"), ("ds_te", "ds_tt")]
+    assert halvings(time=True) == [("dc_et", "dc_tt"), ("ds_et", "ds_tt")]
 
 
 def test_batched_kernels_match_per_signal():
     rng = np.random.default_rng(11)
     X = rng.uniform(-1.0, 1.0, (9, 3))  # dc_tt at N=16, three signals
+    table = TrigTable()
     counter = OpCounter()
-    even_b, odd_b = child_buffers(HARMONIC_SPLIT_CHILDREN, "dc_tt", 16, X)
-    split_harmonic_parity_forward("dc_tt", 16, X, counter, (even_b, odd_b))
+    even_b, odd_b = np.empty((5, 3)), np.empty((4, 3))  # dc_te, dc_to at N=16
+    dc_tt_harmonic_forward(X, 16, table, counter, (even_b, odd_b))
     assert counter.adds == 3 * 8
     for j in range(3):
-        e1, o1 = child_buffers(HARMONIC_SPLIT_CHILDREN, "dc_tt", 16, X[:, j])
-        split_harmonic_parity_forward("dc_tt", 16, X[:, j], OpCounter(), (e1, o1))
+        e1, o1 = np.empty(5), np.empty(4)
+        dc_tt_harmonic_forward(X[:, j], 16, table, OpCounter(), (e1, o1))
         assert np.allclose(even_b[:, j], e1)
         assert np.allclose(odd_b[:, j], o1)
-    e_b, o_b = child_buffers(TIME_SPLIT_CHILDREN, "ds_tt", 16, X[:7])
-    split_time_parity_forward("ds_tt", 16, X[:7], (e_b, o_b))
+    e_b, o_b = np.empty((3, 3)), np.empty((4, 3))  # ds_et, ds_ot at N=16
+    ds_time_forward(X[:7], 16, table, OpCounter(), (e_b, o_b))
     for j in range(3):
-        e1, o1 = child_buffers(TIME_SPLIT_CHILDREN, "ds_tt", 16, X[:7, j])
-        split_time_parity_forward("ds_tt", 16, X[:7, j], (e1, o1))
+        e1, o1 = np.empty(3), np.empty(4)
+        ds_time_forward(X[:7, j], 16, table, OpCounter(), (e1, o1))
         assert np.allclose(e_b[:, j], e1)
         assert np.allclose(o_b[:, j], o1)
-
-
-def test_unsupported_types_raise():
-    with pytest.raises(ValueError):
-        split_time_parity_forward("dc_ot", 16, np.zeros(4), (np.zeros(2), np.zeros(2)))
-    with pytest.raises(ValueError):
-        split_time_parity_forward("dc_t1t", 16, np.zeros(8), (np.zeros(4), np.zeros(4)))
-    with pytest.raises(ValueError):
-        split_harmonic_parity_backward("dc_te", 16, np.zeros(3), np.zeros(2), np.zeros(5))

@@ -86,6 +86,17 @@ def test_compensated_agrees_with_frozen():
     assert np.allclose(dst0_naive_compensated(DS16), DST16, atol=1e-14)
 
 
+@pytest.mark.parametrize("N", [8, 16, 32, 64])
+def test_oracles_agree_with_compensated_twins(N):
+    rng = np.random.default_rng(N)
+    z = rng.standard_normal(N) + 1j * rng.standard_normal(N)
+    assert np.allclose(cdft_naive(z), cdft_naive_compensated(z), rtol=0, atol=1e-13)
+    c = rng.standard_normal(N // 2 + 1)
+    assert np.allclose(dct0_naive(c), dct0_naive_compensated(c), rtol=0, atol=1e-13)
+    s = rng.standard_normal(N // 2 - 1)
+    assert np.allclose(dst0_naive(s), dst0_naive_compensated(s), rtol=0, atol=1e-13)
+
+
 def test_batch_matches_single():
     rng = np.random.default_rng(7)
     X = rng.standard_normal((16, 5)) + 1j * rng.standard_normal((16, 5))
