@@ -44,7 +44,11 @@ from .counting import cadd, csub
 
 
 def copy_leaf(x, N, table, counter, out):
-    """Leaf whose one stored sample is its one stored harmonic."""
+    """Leaf whose one stored sample is its one stored harmonic.
+
+    It runs only at a root: below the root, shared.run_levels hands the
+    leaf's input buffer on as its spectrum.
+    """
     out[...] = x
 
 

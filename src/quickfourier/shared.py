@@ -39,7 +39,10 @@ runs, and each forward step writes its children straight into their
 slots.  A time split copies both children out of their mother, so no
 child pins her past her own turn.  Every table lists a type before the
 types that it produces at the same N, so a group is complete when its
-turn comes.  A leaf writes its spectrum into a buffer of its own; the
+turn comes.  A leaf writes its spectrum into a buffer of its own, but
+a copy leaf below the root, whose one stored sample is its one stored
+harmonic, hands its input buffer on as its spectrum; a root leaf copies,
+because the root's input may be the caller's array.  The
 backward pass then runs in reverse order, hands each child spectrum
 back as a column slice, and writes each group's spectrum into a buffer
 of its own, the root's into dest when one is given.  A slot or slice
@@ -88,19 +91,23 @@ BLOCK_BYTES of real working buffer, so that its levels work in a core's
 cache; a call whose blocks would hold less than MIN_BLOCK_ROW_BYTES of
 each row, as at large N, runs as one block.  Columns are independent
 signals, so blocks change no bit of any result, count or constant
-footprint.  A call whose columns fit one block, every 1-D call among
-them, runs as one: its output is allocated only once its spectra exist,
-and its peak is that output beside the two real half spectra, 2.0 times
-its input's bytes.  Beside a small input, Python objects and one-column
-temporaries weigh more: at one float64 column, improved rdft peaks at
-2.10, 2.38 and 3.46 times its input at N = 4096, 1024 and 256 (classical
-2.36, 2.65 and 3.77) and improved cdft at 2.05, 2.18 and 2.66 (classical
-2.30, 2.44 and 2.95); at 16 columns of N = 64, both transforms peak at
-2.06-2.17 times (classical 2.36-2.53).  A wider call allocates its one
+footprint.  For its own length, a call also sets NumPy's ufunc buffer to
+UFUNC_BUFSIZE elements and then restores the caller's size, so the
+buffers NumPy's iterator takes for operands that are not whole
+contiguous blocks fit a core's L1d; the size changes no bit either.  A
+call whose columns fit one block, every 1-D call among them, runs as
+one: its output is allocated only once its spectra exist, and its peak
+is that output beside the two real half spectra, 2.0 times its input's
+bytes.  Beside a small input, Python objects and one-column temporaries
+weigh more: at one float64 column, improved rdft peaks at 2.11, 2.41
+and 3.57 times its input at N = 4096, 1024 and 256 (classical 2.36,
+2.68 and 3.88) and improved cdft at 2.02, 2.19 and 2.71 (classical 2.05,
+2.45 and 3.01); at 16 columns of N = 64, both transforms peak at
+2.07-2.20 times (classical 2.37-2.56).  A wider call allocates its one
 output once the first block's result exists and copies that result in;
 every later block writes its spectra straight into the output's
 columns, so the call peaks at the output plus one block's working set,
-1.16-1.17 times an 8 MiB input's bytes.
+1.156-1.160 times an 8 MiB input's bytes.
 
 Input contract of the public transforms: one signal as a 1-D array, or
 independent signals as the columns of a 2-D array, of a numeric dtype
@@ -129,6 +136,7 @@ from functools import lru_cache
 import numpy as np
 
 from .counting import OpCounter, TrigTable, cadd, csub, rows_like
+from .elaborations import copy_leaf
 from .taxonomy import ROOT_TYPE, lk, ln, periodization
 
 # one entry of a step table; the module docstring gives the fields
@@ -157,8 +165,11 @@ def run_levels(steps, sig_type, N, root, table, counter, dest=None):
             b, c0, c1 = home
             x = inputs[b] if c0 is None else inputs[b][:, c0 * cols:c1 * cols]
         if slots is None:
-            spectra[g] = np.empty((rows, width * cols), dtype) if g or dest is None else dest
-            step.base(x, n, table, counter, spectra[g])
+            if rows is None:  # a copy leaf: its input is its spectrum
+                spectra[g] = x
+            else:
+                spectra[g] = np.empty((rows, width * cols), dtype) if g or dest is None else dest
+                step.base(x, n, table, counter, spectra[g])
             x = None
             continue
         if home is None:
@@ -203,7 +214,8 @@ def _schedule(items, sig_type, N):
         the group's column range in the child's spectrum and last_read
         lists the children whose spectra no later step reads.
 
-    spectrum is the (rows, columns) of the group's spectrum.
+    spectrum is the (rows, columns) of the group's spectrum, or (None,
+    None) for a copy leaf below the root, whose spectrum is its input.
     """
     claimed = {(sig_type, N): 1}  # pending group -> root columns claimed so far
     index = {}                    # (type, N) -> group
@@ -253,7 +265,10 @@ def _schedule(items, sig_type, N):
             homes[g] = (g, 0)
             shapes[g] = (ln(*key), width)
         if slots is None:
-            forward.append((step, n, home, None, spectrum))
+            # a copy leaf below the root hands its input buffer on as its
+            # spectrum; the root's input may be the caller's array
+            alias = g and step.base is copy_leaf
+            forward.append((step, n, home, None, (None, None) if alias else spectrum))
             continue
         fslots, bslots, last_read = [], [], []
         for child, c0, c1 in slots:
@@ -380,6 +395,18 @@ def one_recursion(x, sig_type, N, steps, table, counter, out=None):
 BLOCK_BYTES = 1 << 20
 MIN_BLOCK_ROW_BYTES = 256
 
+# NumPy runs a ufunc whose operands are not whole contiguous blocks (column
+# slots, strided or row-reversed rows, w[:, None]) through its buffered
+# iterator, which takes min(size, bufsize) elements per operand: 64 KiB per
+# float64 operand at the default 8192, more than a core's 48 KiB L1d and as
+# much as a whole one-column signal at N = 4096.  At 1024 elements, 8 KiB
+# per float64 operand, three operands fit L1d: wide calls ran 0.86 times
+# as long as at the default, 512 elements ran as fast as 1024 and 256 4.5%
+# slower, and 2048 left the largest one-column peak where the default had
+# it.  Each call sets it for its own length only: np.setbufsize is per
+# thread, and from NumPy 2.0 per context
+UFUNC_BUFSIZE = 1024
+
 
 def _block_width(rows, cols, itemsize):
     """Columns per block of a rows-by-cols input of this itemsize.
@@ -402,19 +429,24 @@ def _in_blocks(x, dtype, run, *args):
     of its own when out is None, as for the first block.  The module
     docstring gives the order of allocation.  The arguments are passed
     on rather than bound in a closure, which would stay allocated
-    through every call.
+    through every call.  Every ufunc runs with UFUNC_BUFSIZE, and the
+    caller's buffer size is restored on the way out.
     """
     cols = x.shape[1]
     width = _block_width(*x.shape, np.dtype(dtype).itemsize)
-    first = run(x[:, :width], *args, None)
-    if cols <= width:
-        return first
-    out = np.empty((first.shape[0], cols), first.dtype)
-    out[:, :width] = first
-    first = None
-    for c0 in range(width, cols, width):
-        run(x[:, c0:c0 + width], *args, out[:, c0:c0 + width])
-    return out
+    bufsize = np.setbufsize(UFUNC_BUFSIZE)
+    try:
+        first = run(x[:, :width], *args, None)
+        if cols <= width:
+            return first
+        out = np.empty((first.shape[0], cols), first.dtype)
+        out[:, :width] = first
+        first = None
+        for c0 in range(width, cols, width):
+            run(x[:, c0:c0 + width], *args, out[:, c0:c0 + width])
+        return out
+    finally:
+        np.setbufsize(bufsize)
 
 
 # -- public entry points ----------------------------------------------------

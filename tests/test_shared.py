@@ -1,8 +1,10 @@
 """Level scheduler and shared drivers: column stacking, memory, step tables."""
 
+import contextlib
 import importlib
 import pkgutil
 import sys
+import threading
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
@@ -174,9 +176,9 @@ def test_peak_memory_of_a_wide_call(algorithm, transform):
     assert peak_ratio(algorithm, transform, WIDE_SHAPES[transform]) <= 1.20
 
 
-# the copy, both folds and the 64 KiB buffer NumPy's iterator takes for
-# the fold's row-reversed operand
-COPIED_BLOCK_PEAK_BOUND = 2.1
+# the copy, both folds and the buffers NumPy's iterator takes for the
+# fold's row-reversed operand, shared.UFUNC_BUFSIZE elements each
+COPIED_BLOCK_PEAK_BOUND = 2.05
 
 
 @pytest.mark.parametrize("algorithm", sorted(MODULES))
@@ -269,6 +271,97 @@ def test_column_blocks_match_the_whole_width_call(algorithm, transform, dtype, l
     assert got[0].shape == want[0].shape
     assert np.array_equal(got[0], want[0])
     assert got[1:] == want[1:]
+
+
+@contextlib.contextmanager
+def caller_bufsize(size):
+    """The caller's ufunc buffer size set to size, and restored on exit."""
+    old = np.setbufsize(size)
+    try:
+        yield
+    finally:
+        np.setbufsize(old)
+
+
+@pytest.mark.parametrize("blocks", [1, 7])
+@pytest.mark.parametrize("algorithm,transform", ENTRY_POINTS)
+def test_calls_run_at_their_own_ufunc_buffer_size(algorithm, transform, blocks, monkeypatch):
+    # every call runs its ufuncs with shared.UFUNC_BUFSIZE and hands the
+    # caller's size back, whatever it was; no size changes a bit of a
+    # result, a count or a constant footprint
+    fn = getattr(MODULES[algorithm], transform)
+    x = signals(transform, 256, 20, np.float64, 12)
+    if blocks > 1:
+        rows, itemsize = x.shape[0], x.dtype.itemsize
+        monkeypatch.setattr(shared, "BLOCK_BYTES", 3 * rows * itemsize)
+        monkeypatch.setattr(shared, "MIN_BLOCK_ROW_BYTES", 1)
+    seen = []
+    run = shared.run_levels
+
+    def spy(*args):
+        seen.append(np.getbufsize())
+        return run(*args)
+
+    monkeypatch.setattr(shared, "run_levels", spy)
+    results = []
+    for size in (64, np.getbufsize(), 65536):
+        with caller_bufsize(size):
+            results.append(traced_call(fn, x, np.float64))
+            assert np.getbufsize() == size
+    assert len(seen) == 3 * blocks * (2 if transform in ("cdft", "rdft") else 1)
+    assert set(seen) == {shared.UFUNC_BUFSIZE}
+    (want, *want_rest), *others = results
+    for got, *rest in others:
+        assert got.tobytes() == want.tobytes()
+        assert rest == want_rest
+
+
+@pytest.mark.parametrize("algorithm,transform", ENTRY_POINTS)
+def test_a_failing_call_restores_the_buffer_size(algorithm, transform, monkeypatch):
+    # a call refused at its input, and one that fails inside its blocks,
+    # leave the caller's size as it was
+    fn = getattr(MODULES[algorithm], transform)
+    with caller_bufsize(65536):
+        with pytest.raises(ValueError):
+            fn(np.zeros((4, 1, 1)))
+        assert np.getbufsize() == 65536
+
+        def fail(*args):
+            raise ValueError("inside the blocks")
+
+        monkeypatch.setattr(shared, "run_levels", fail)
+        with pytest.raises(ValueError, match="inside the blocks"):
+            fn(signals(transform, 64, 3, np.float64, 1))
+        assert np.getbufsize() == 65536
+
+
+def test_threads_keep_their_own_buffer_sizes():
+    # np.setbufsize is per thread, and from NumPy 2.0 per context: calls
+    # running at once in more threads than a small runner has cores must
+    # not hand one thread's size to another
+    sizes = (64, 256, np.getbufsize(), 65536)
+    x = signals("cdft", 256, 3, np.float64, 2)
+    want = improved.cdft(x).tobytes()
+    start = threading.Barrier(len(sizes))
+
+    def runs(size):
+        with caller_bufsize(size):
+            start.wait(timeout=60)
+            seen = []
+            for _ in range(40):
+                out = improved.cdft(x)
+                seen.append((np.getbufsize(), out.tobytes() == want))
+            return seen
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(len(sizes)) as pool:
+            results = list(pool.map(runs, sizes, timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    for size, seen in zip(sizes, results):
+        assert seen == [(size, True)] * 40, size
 
 
 @pytest.mark.parametrize("sample", [np.bool_, np.int8, np.int64, np.uint16, np.float16])
@@ -419,13 +512,16 @@ def test_misordered_table_is_rejected():
 
 
 class NaNFilled:
-    """numpy, but empty fills what it allocates with NaN."""
+    """numpy, but empty fills what it allocates with NaN and counts it."""
+
+    def __init__(self):
+        self.allocations = 0
 
     def __getattr__(self, name):
         return getattr(np, name)
 
-    @staticmethod
-    def empty(shape, dtype=float):
+    def empty(self, shape, dtype=float):
+        self.allocations += 1
         return np.full(shape, np.nan, dtype)
 
 
@@ -458,6 +554,28 @@ def test_steps_write_every_cell_they_are_handed(algorithm, root, monkeypatch):
             step.forward(x, N, table, counter, outs)
 
         assert np.isnan(run({**steps, root: step._replace(forward=forward)}, 256)).any()
+
+
+# a ds_tt root's buffers: each group below the root owns an input buffer
+# and each group a spectrum, except a copy leaf below the root, whose
+# input is its spectrum.  Improved at N = 8: five groups, of which ds_tt(4)
+# and ds_ot(4) are copy leaves, 4 + 5 - 2; classical at N = 16: seven
+# groups, of which ds_tt(4), ds_e1o(8) and ds_e1o(16) are, 6 + 7 - 3.  A
+# root leaf (N = 4) copies into a spectrum of its own: its input may be
+# the caller's array
+@pytest.mark.parametrize("algorithm,N,allocations", [
+    ("improved", 8, 7), ("classical", 16, 10), ("improved", 4, 1), ("classical", 4, 1)])
+def test_copy_leaves_below_the_root_hand_on_their_input(algorithm, N, allocations,
+                                                         monkeypatch):
+    module = MODULES[algorithm]
+    x = np.random.default_rng(15).uniform(-0.5, 0.5, (ln("ds_tt", N), 3))
+    want = module.dst0(x)
+    filled = NaNFilled()
+    monkeypatch.setattr(shared, "np", filled)
+    got = run_levels(module.STEPS, "ds_tt", N, [x], TrigTable(), OpCounter())
+    assert filled.allocations == allocations
+    assert got.tobytes() == want.tobytes()
+    assert not np.shares_memory(got, x)
 
 
 @pytest.mark.parametrize("root", ["dc_tt", "ds_tt"])
