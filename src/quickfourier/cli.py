@@ -170,10 +170,10 @@ def _run_selftest(args):
 
     rng = np.random.default_rng(0)
 
-    for algorithm, table_counts in (("classical", costmodel.CLASSICAL_CDFT_COUNTS),
-                                    ("improved", costmodel.IMPROVED_CDFT_COUNTS)):
+    for algorithm in ALGORITHMS:
         for N in (16, 256):
-            if costmodel.measured_cost(algorithm, "cdft", N) != table_counts[N]:
+            if (costmodel.measured_cost(algorithm, "cdft", N)
+                    != costmodel.predicted_cost(algorithm, "cdft", N)):
                 raise AssertionError(f"{algorithm} cdft count drifted at N={N}")
         print(f"ok {algorithm} operation counts")
 

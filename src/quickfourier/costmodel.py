@@ -17,21 +17,6 @@ from . import check_names, transform_fn
 from .counting import OpCounter
 from .taxonomy import ROOT_TYPE, check_type_n, stored_length
 
-# complex-transform (adds, muls) by periodization, classical recursion
-CLASSICAL_CDFT_COUNTS = {
-    4: (16, 0), 8: (52, 4), 16: (160, 22), 32: (432, 74), 64: (1088, 210),
-    128: (2624, 546), 256: (6144, 1346), 512: (14080, 3202),
-    1024: (31744, 7426), 2048: (70656, 16898),
-}
-
-# complex-transform (adds, muls) by periodization, improved recursion
-IMPROVED_CDFT_COUNTS = {
-    4: (16, 0), 8: (52, 4), 16: (148, 20), 32: (388, 68), 64: (964, 196),
-    128: (2308, 516), 256: (5380, 1284), 512: (12292, 3076),
-    1024: (27652, 7172), 2048: (61444, 16388),
-}
-
-
 def _exact(expr):
     expr = Fraction(expr)
     if expr.denominator != 1:

@@ -24,9 +24,9 @@ it fills (shared's docstring gives them):
   time, ds_tt            ds_time_forward           ds_time_backward
   harmonic, dc_tt        dc_tt_harmonic_forward    dc_harmonic_backward
   harmonic, dc_t1t       dc_t1t_harmonic_forward   (classical dc_to's own)
-  harmonic, dc_ot        dc_ot_harmonic_forward    dc_harmonic_backward
+  harmonic, dc_ot        dc_ot_harmonic_forward    (improved dc_ot's own)
   harmonic, ds_tt        ds_tt_harmonic_forward    ds_harmonic_backward
-  harmonic, ds_ot        ds_ot_harmonic_forward    ds_harmonic_backward
+  harmonic, ds_ot        ds_ot_harmonic_forward    (improved ds_ot's own)
 
 The leaves both tables use, copy_leaf and two_point_leaf, live here too.
 Every function works on buffers in stored-slot order, one signal per

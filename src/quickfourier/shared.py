@@ -51,24 +51,20 @@ column by column and charges one operation per value it writes, so the
 slots change neither a bit of a result nor a count; they only replace
 thousands of small calls by a few dozen wide ones.
 
-Conversions run in place.  A one-child step whose child stores as many
-cells as it does (improved dc_oo and ds_oo, which convert onto dc_ot
-and ds_ot at N/2) gets no buffer of its own: its input is its own slot
-in its child's buffer, its producer writes it there and its forward
-step scales it where it lies, so the group adds no storage to its
-child's.  Classical dc_to's conversion scales its input in place too;
-dc_to is never a root, so that input is always a buffer run_levels
-owns.  No root type converts, and the caller's array, which dct0 and
-dst0 hand over as the root, reaches the recursion read-only.
+Conversions run in place, inside the split that forms the converted
+signal: improved dc_ot and ds_ot scale their odd-odd child in its own
+slot, and classical dc_to scales its input, a buffer run_levels owns,
+as dc_to is never a root.  No step of a root type writes into its
+input, and the caller's array, which dct0 and dst0 hand over as the
+root, reaches the recursion read-only.
 
 The leaf sizes and children fix the whole schedule of a (table, type,
 N) root before any kernel runs: the groups in forward order, each
 child's column slot in units of the root's columns, the shape of each
-input buffer and spectrum, the groups that convert in place, the
-backward order, and the last reader of each spectrum.  It is derived
-once, on first use, and cached; a call replays it with list indices.
-A table that lists a type after one that produces it at the same N
-raises RuntimeError.
+input buffer and spectrum, the backward order, and the last reader of
+each spectrum.  It is derived once, on first use, and cached; a call
+replays it with list indices.  A table that lists a type after one that
+produces it at the same N raises RuntimeError.
 
 Buffers are handed over, not lent: run_levels takes its root buffer out
 of a one-element list, drops each buffer once its forward step has
@@ -147,23 +143,18 @@ def run_levels(steps, sig_type, N, root, table, counter, dest=None):
     """Spectrum of a sig_type buffer at periodization N, run level by level.
 
     root is a one-element list holding the buffer, which run_levels takes
-    out of it: the module docstring says why.  Only a conversion writes
-    into its input, and no root type converts, so root is never written.
-    The spectrum is written into dest and dest returned when dest is
-    given.
+    out of it: the module docstring says why.  No step of a root type
+    writes into its input, so root is never written.  The spectrum is
+    written into dest and dest returned when dest is given.
     """
     forward, backward = _schedule(tuple(steps.items()), sig_type, N)
     inputs = [None] * len(forward)  # group -> the input buffer it owns
     inputs[0] = root.pop()
     cols, dtype = inputs[0].shape[1], inputs[0].dtype
     spectra = [None] * len(forward)
-    for g, (step, n, home, slots, (rows, width)) in enumerate(forward):
-        if home is None:
-            x = inputs[g]
-            inputs[g] = None
-        else:  # the group's own slot in its child's buffer
-            b, c0, c1 = home
-            x = inputs[b] if c0 is None else inputs[b][:, c0 * cols:c1 * cols]
+    for g, (step, n, slots, (rows, width)) in enumerate(forward):
+        x = inputs[g]
+        inputs[g] = None
         if slots is None:
             if rows is None:  # a copy leaf: its input is its spectrum
                 spectra[g] = x
@@ -172,15 +163,12 @@ def run_levels(steps, sig_type, N, root, table, counter, dest=None):
                 step.base(x, n, table, counter, spectra[g])
             x = None
             continue
-        if home is None:
-            outs = []
-            for b, c0, c1, buf_rows, buf_width in slots:
-                buf = inputs[b]
-                if buf is None:  # the buffer's first producer runs
-                    buf = inputs[b] = np.empty((buf_rows, buf_width * cols), dtype)
-                outs.append(buf if c0 is None else buf[:, c0 * cols:c1 * cols])
-        else:
-            outs = [x]  # a converting group's one child slot is its own input
+        outs = []
+        for b, c0, c1, buf_rows, buf_width in slots:
+            buf = inputs[b]
+            if buf is None:  # the buffer's first producer runs
+                buf = inputs[b] = np.empty((buf_rows, buf_width * cols), dtype)
+            outs.append(buf if c0 is None else buf[:, c0 * cols:c1 * cols])
         step.forward(x, n, table, counter, outs)
         x = buf = outs = None
     for g, step, n, slots, last_read, (rows, width) in backward:
@@ -203,12 +191,10 @@ def _schedule(items, sig_type, N):
     ranges are in units of the root's columns, and c0 and c1 are None
     where a range spans its whole buffer.  The result is
 
-      * forward: (step, N, home, slots, spectrum) per group.  home is None
-        for a group that owns its input buffer, or (buffer group, c0, c1)
-        for a converting group, whose input is its own slot in its
-        child's buffer.  slots is None for a leaf; each slot (buffer
-        group, c0, c1, rows, columns) gives the group's column range in
-        the buffer that holds the child's input and that buffer's shape;
+      * forward: (step, N, slots, spectrum) per group.  slots is None for
+        a leaf; each slot (child group, c0, c1, rows, columns) gives the
+        group's column range in the child's input buffer and that
+        buffer's shape;
       * backward: (group, step, N, slots, last_read, spectrum) per split
         group in backward order, where each slot (child group, c0, c1) is
         the group's column range in the child's spectrum and last_read
@@ -240,47 +226,27 @@ def _schedule(items, sig_type, N):
         n //= 2
     if claimed:
         raise RuntimeError(f"step table leaves {sorted(claimed)} unscheduled")
-    homes = {}   # group -> (buffer group, first column) of its input
-    shapes = {}  # buffer group -> (rows, columns) of its buffer
     forward, backward = [], []
-
-    def span(owner, c0, c1):
-        return (owner, None, None) if c0 == 0 and c1 == shapes[owner][1] else (owner, c0, c1)
-
-    for g in range(len(groups) - 1, -1, -1):  # children come after their producers
-        key, step, width, slots = groups[g]
+    for g, (key, step, width, slots) in enumerate(groups):
         n = key[1]
         spectrum = (lk(*key), width)
-        home = None
-        # a one-child step whose child stores as many cells as it does
-        # converts in place: its input is its own slot in the child's
-        # buffer, so no storage beyond the child's ever exists.  The
-        # root's input is the caller's buffer
-        if slots is not None and len(slots) == 1 and g and ln(*key) == ln(*slots[0][0]):
-            child, c0, c1 = slots[0]
-            owner, o = homes[index[child]]
-            homes[g] = (owner, o + c0)
-            home = span(owner, o + c0, o + c1)
-        else:
-            homes[g] = (g, 0)
-            shapes[g] = (ln(*key), width)
         if slots is None:
             # a copy leaf below the root hands its input buffer on as its
             # spectrum; the root's input may be the caller's array
             alias = g and step.base is copy_leaf
-            forward.append((step, n, home, None, (None, None) if alias else spectrum))
+            forward.append((step, n, None, (None, None) if alias else spectrum))
             continue
         fslots, bslots, last_read = [], [], []
         for child, c0, c1 in slots:
             k = index[child]
-            owner, o = homes[k]
-            fslots.append(span(owner, o + c0, o + c1) + shapes[owner])
-            bslots.append((k, None, None) if c0 == 0 and c1 == groups[k][2] else (k, c0, c1))
+            span = (k, None, None) if c0 == 0 and c1 == groups[k][2] else (k, c0, c1)
+            fslots.append(span + (ln(*child), groups[k][2]))
+            bslots.append(span)
             if c0 == 0:  # the first reader in forward order is the last in backward order
                 last_read.append(k)
-        forward.append((step, n, home, tuple(fslots), spectrum))
+        forward.append((step, n, tuple(fslots), spectrum))
         backward.append((g, step, n, tuple(bslots), tuple(last_read), spectrum))
-    forward.reverse()
+    backward.reverse()
     return tuple(forward), tuple(backward)
 
 

@@ -8,10 +8,8 @@ size: its *children* are the step's children, the signals the recursion
 continues into, and its *intermediates* are the step's via signals, the
 transient signals formed along the way (parity-split halves before
 relabelling, secant-converted buffers) that the step consumes itself.
-A step with a single child only converts: the tree shows that child as
-an intermediate too, and the node goes on into the child's children and
-intermediates.  Above the tables, a complex root splits into two real
-ones and a real root into a cosine and a sine one (N >= 4).
+Above the tables, a complex root splits into two real ones and a real
+root into a cosine and a sine one (N >= 4).
 
 Storage audit: for every expanded node the children's stored-cell
 totals (time and harmonic) are compared with the mother's.  The
@@ -72,25 +70,11 @@ def _expand(node, steps):
         if N >= 4:
             node.children = [TreeNode(c, N) for c in _DRIVERS[t]]
     elif N > steps[t].leaf:
-        node.children, node.intermediates = _split(steps, t, N)
+        step = steps[t]
+        node.children = [TreeNode(c, N >> h) for c, h in step.children]
+        node.intermediates = [TreeNode(v, N >> h, "intermediate") for v, h in step.via]
     for child in node.children:
         _expand(child, steps)
-
-
-def _split(steps, t, N):
-    """(children, intermediates) of a (t, N) signal's step.
-
-    A step with one child only converts: that child is shown as an
-    intermediate and the split goes on into the child's own step.
-    """
-    step = steps[t]
-    mids = [TreeNode(v, N >> h, "intermediate") for v, h in step.via]
-    kids = [TreeNode(c, N >> h) for c, h in step.children]
-    if len(kids) == 1:
-        kids[0].role = "intermediate"
-        children, more = _split(steps, kids[0].sig_type, kids[0].N)
-        return children, mids + kids + more
-    return kids, mids
 
 
 def build_tree(algorithm, transform, N):

@@ -1,17 +1,10 @@
-"""Cost model: closed forms against the recursion and the pinned tables."""
+"""Cost model: closed forms against the recursion."""
 
 import io
 
 import pytest
 
 from quickfourier import ALGORITHMS, costmodel
-
-
-def test_pinned_tables_match_formulas():
-    for N, counts in costmodel.CLASSICAL_CDFT_COUNTS.items():
-        assert costmodel.predicted_cost("classical", "cdft", N) == counts
-    for N, counts in costmodel.IMPROVED_CDFT_COUNTS.items():
-        assert costmodel.predicted_cost("improved", "cdft", N) == counts
 
 
 @pytest.mark.parametrize("algorithm", ["classical", "improved"])

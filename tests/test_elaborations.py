@@ -21,9 +21,12 @@ TABLES = {"classical": classical.STEPS, "improved": improved.STEPS}
 # every step that splits, conversions included, as (algorithm, type)
 SPLITTING = [(algorithm, t) for algorithm, steps in TABLES.items()
              for t, step in steps.items() if step.children]
-# the time- and harmonic-parity splits: steps whose forward is a plain split
+# the time- and harmonic-parity splits: steps whose forward is a plain
+# split, or improved's odd-time harmonic split, which also converts its
+# odd-odd child in that child's own slot
 SPLITS = [(algorithm, t) for algorithm, t in SPLITTING
-          if TABLES[algorithm][t].forward.__module__ == elaborations.__name__]
+          if TABLES[algorithm][t].forward.__module__ in (elaborations.__name__,
+                                                         improved.__name__)]
 TIME_FORWARDS = (dc_time_forward, ds_time_forward)
 
 
@@ -63,6 +66,10 @@ def test_every_split_roundtrips(algorithm, sig_type, N):
 # step, a time split two per mirrored harmonic pair in its backward step
 SPLIT_ADDS = {"dc_tt": lambda N: N // 2, "ds_tt": lambda N: N // 2 - 2,
               "dc_ot": lambda N: N // 4, "ds_ot": lambda N: N // 4}
+# improved's odd-time harmonic splits also convert their odd-odd child,
+# one multiply per cell, and form its odd harmonics as neighbour sums, one
+# add each but a free copy
+CONVERTING = ("dc_ot", "ds_ot")
 
 
 @pytest.mark.parametrize("N", [16, 64])
@@ -71,9 +78,10 @@ def test_split_charges(algorithm, sig_type, N):
     step = TABLES[algorithm][sig_type]
     _, _, forward, backward = round_trip(step, sig_type, N, seed=3 * N + len(sig_type))
     adds = SPLIT_ADDS[sig_type](N)
+    muls, sums = (N // 8, N // 8 - 1) if sig_type in CONVERTING else (0, 0)
     time = step.forward in TIME_FORWARDS
-    assert (forward.adds, backward.adds) == ((0, adds) if time else (adds, 0))
-    assert forward.muls == backward.muls == 0
+    assert (forward.adds, backward.adds) == ((0, adds) if time else (adds, sums))
+    assert (forward.muls, backward.muls) == (muls, 0)
 
 
 @pytest.mark.parametrize("N", [16, 64])

@@ -41,11 +41,14 @@ def test_improved_cosine_structure():
     assert [(c.sig_type, c.N) for c in root.children] == [("dc_tt", 16), ("dc_ot", 32)]
     assert [(m.sig_type, m.N) for m in root.intermediates] == [("dc_et", 32)]
     ot = root.children[1]
-    assert [(c.sig_type, c.N) for c in ot.children] == [("dc_ot", 16), ("dc_oo", 32)]
-    oo = ot.children[1]
-    assert [(c.sig_type, c.N) for c in oo.children] == [("dc_ot", 8), ("dc_oo", 16)]
-    assert [(m.sig_type, m.N) for m in oo.intermediates] == [
-        ("dc_oe", 32), ("dc_ot", 16), ("dc_oe", 16)]
+    assert [(c.sig_type, c.N) for c in ot.children] == [("dc_ot", 16), ("dc_ot", 16)]
+    assert [(m.sig_type, m.N) for m in ot.intermediates] == [("dc_oe", 32), ("dc_oo", 32)]
+    # the converted odd-odd child is a dc_ot like the even one, and splits
+    # the same way
+    converted = ot.children[1]
+    assert [(c.sig_type, c.N) for c in converted.children] == [("dc_ot", 8), ("dc_ot", 8)]
+    assert [(m.sig_type, m.N) for m in converted.intermediates] == [
+        ("dc_oe", 16), ("dc_oo", 16)]
 
 
 def test_classical_sine_structure():
@@ -88,7 +91,7 @@ def test_level_numbering_outputs_first():
     lvl3 = (root.children[0].children + root.children[1].children,
             root.children[0].intermediates + root.children[1].intermediates)
     assert [n.label for n in lvl3[0]] == ["s3,1", "s3,2", "s3,3", "s3,4"]
-    assert [n.label for n in lvl3[1]] == ["s3,5", "s3,6"]
+    assert [n.label for n in lvl3[1]] == ["s3,5", "s3,6", "s3,7"]
 
 
 def test_labels_unique_per_level():
@@ -156,10 +159,10 @@ RENDER_SHA256 = {
     ("classical", "rdft"): "33a87fe23b178284cb46b8fb86599cf06e6a95c23a846b0e71089ea62c808977",
     ("classical", "dct0"): "2d04a774973cf5b4f464fa57fa5302d3b895d33bb91fdd706d6ac300a3544af3",
     ("classical", "dst0"): "04f8fd90bed696d2af91941b62a7c6d2bc9bd2369b5f0eedece55540d6d06733",
-    ("improved", "cdft"): "4b721c5ddf37eec5ff491cf1870dca69490cf3712a89608d8bc22878092c63d5",
-    ("improved", "rdft"): "5b51e7dde8ebb48f5b22122e87adee95cd02cf7524179ae35d7be26b92899b71",
-    ("improved", "dct0"): "2d30ed3ab6574daa91c7717f70ecdf31d12bdac73c53ebf1cb2d373206e7b164",
-    ("improved", "dst0"): "53075287ef921799028188b1683f01dc7aa6b95f17b32274890b2f5cb885cfe9",
+    ("improved", "cdft"): "eb424e79408b10e764d90c0893af293c830519041cb3d1aafff286b05ff96952",
+    ("improved", "rdft"): "a05cf4c321444c458f055c0fe0ab5c603c27b1e159068af2b8d277248fcde70a",
+    ("improved", "dct0"): "b93e4a945830d7d7860025912c94e7e72d1b4c53742d54b57f90821e141b9656",
+    ("improved", "dst0"): "6d3547aacd88e70cc861e37f9ce07ee23fbfbaed02f747250922b1898d2413b1",
 }
 
 
@@ -194,6 +197,6 @@ def test_t1_allowance_is_read_off_the_step_table(monkeypatch):
     # none; a table that gains one must be audited with the allowance
     assert tree.allows_t1_growth("classical")
     assert not tree.allows_t1_growth("improved")
-    step = improved.STEPS["dc_oo"]
-    monkeypatch.setitem(improved.STEPS, "dc_oo", step._replace(via=(("dc_t1e", 0),)))
+    step = improved.STEPS["dc_ot"]
+    monkeypatch.setitem(improved.STEPS, "dc_ot", step._replace(via=(("dc_t1e", 0),)))
     assert tree.allows_t1_growth("improved")
