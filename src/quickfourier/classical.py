@@ -32,10 +32,11 @@ nothing:
   ds_e1o  any   never splits: its one sample is its one harmonic
 
 Each entry is a literal Step.  The harmonic splits of dc_tt and ds_tt,
-the interleaves and the leaves copy_leaf and two_point_leaf are step
-functions of elaborations; the dc_to and ds_to conversions are this
-module's own, and dc_to's forward step calls elaborations' dc_t1t split
-on its converted signal.
+the interleaves and the two-point leaf are step functions of
+elaborations; the copy leaves, ds_tt and ds_to at N = 4 and ds_e1o,
+declare base None; the dc_to and ds_to conversions are this module's
+own, and dc_to's forward step calls elaborations' dc_t1t split on its
+converted signal.
 
 All arithmetic flows through the counted helpers and every constant
 comes from the TrigTable, so operation counts and the constant footprint
@@ -47,7 +48,7 @@ shared.entry_points, bound to this table.
 import math
 
 from .counting import cadd, cmul, cmul_rows, csub
-from .elaborations import (copy_leaf, dc_harmonic_backward, dc_t1t_harmonic_forward,
+from .elaborations import (dc_harmonic_backward, dc_t1t_harmonic_forward,
                            dc_tt_harmonic_forward, ds_harmonic_backward, ds_tt_harmonic_forward,
                            two_point_leaf)
 from .shared import Step, entry_points
@@ -118,11 +119,11 @@ STEPS = {
                   (("dc_t1e", 0), ("dc_t1t", 1), ("dc_te", 1)),
                   _dct_odd_leaf, _dct_odd_forward, _dct_odd_backward),
     "ds_tt": Step(4, (("ds_tt", 1), ("ds_to", 0)), (("ds_te", 0),),
-                  copy_leaf, ds_tt_harmonic_forward, ds_harmonic_backward),
+                  None, ds_tt_harmonic_forward, ds_harmonic_backward),
     "ds_to": Step(4, (("ds_tt", 1), ("ds_e1o", 0)), (("ds_t1o", 0), ("ds_te", 0)),
-                  copy_leaf, _dst_odd_forward, _dst_odd_backward),  # S(1) = s(1) at N=4
+                  None, _dst_odd_forward, _dst_odd_backward),  # S(1) = s(1) at N=4
     # the centre sample s(N/4) is its own one odd harmonic at every N
-    "ds_e1o": Step(math.inf, (), (), copy_leaf, None, None),
+    "ds_e1o": Step(math.inf, (), (), None, None, None),
 }
 
 cdft, rdft, dct0, dst0 = entry_points(__name__, STEPS)

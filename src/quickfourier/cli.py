@@ -120,9 +120,11 @@ def _run_transform(args):
 
 
 def _parse_sizes(text):
-    if text is None:
-        return None
-    return [int(tok) for tok in text.split(",") if tok]
+    """The comma-separated sizes of --sizes, or None when it is not given."""
+    sizes = None if text is None else [int(tok) for tok in text.split(",") if tok]
+    if sizes == []:
+        raise ValueError(f"--sizes {text!r} lists no size")
+    return sizes
 
 
 def _run_cost_table(args):
@@ -141,6 +143,8 @@ def _run_cost_table(args):
 def _run_accuracy(args):
     from . import accuracy
 
+    if args.trials is not None and args.trials < 1:
+        raise ValueError(f"--trials must be at least 1, got {args.trials}")
     rows = accuracy.accuracy_experiment(
         sizes=tuple(_parse_sizes(args.sizes) or accuracy.DEFAULT_SIZES),
         trials=accuracy.DEFAULT_TRIALS if args.trials is None else args.trials,

@@ -63,16 +63,6 @@ def cmul(counter, x, y, out=None):
     return r
 
 
-def rows_like(x, n):
-    """Uninitialized array of n rows matching x's trailing shape and dtype.
-
-    Transform kernels hold one stored value per leading row; a trailing
-    axis, when present, carries a batch of independent signals.  x must
-    be an array.
-    """
-    return np.empty((n,) + x.shape[1:], dtype=x.dtype)
-
-
 def cmul_rows(counter, x, w, out=None):
     """Counted multiply of each row of x (rows, signals) by its own constant w[i]."""
     r = x * w[:, None] if out is None else np.multiply(x, w[:, None], out)

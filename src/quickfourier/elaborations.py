@@ -28,28 +28,21 @@ it fills (shared's docstring gives them):
   harmonic, ds_tt        ds_tt_harmonic_forward    ds_harmonic_backward
   harmonic, ds_ot        ds_ot_harmonic_forward    (improved ds_ot's own)
 
-The leaves both tables use, copy_leaf and two_point_leaf, live here too.
-Every function works on buffers in stored-slot order, one signal per
-column, and allocates nothing: a forward step writes its two children,
-even child first, into the buffers outs holds, ln(child type, N) rows
-each, and a backward step or leaf writes the spectrum into out, lk(type,
-N) rows.  A time split copies its children out of the mother, so no
-child pins her once the split has run.  For sine-kind signals the sum
-child is the odd-harmonic child; for cosine-kind signals it is the
-even-harmonic child.  The dc_t1t mother stores nothing at index N/2, so
-its n = 0 pairing adds an explicit zero; those adds are still charged.
+The one leaf both tables compute, two_point_leaf, lives here too; a
+copy leaf, whose one stored sample is its one stored harmonic, has no
+function: its Step declares base None.  Every function works on buffers
+in stored-slot order, one signal per column, and allocates nothing: a
+forward step writes its two children, even child first, into the
+buffers outs holds, ln(child type, N) rows each, and a backward step or
+leaf writes the spectrum into out, lk(type, N) rows.  A time split
+copies its children out of the mother, so no child pins her once the
+split has run.  For sine-kind signals the sum child is the odd-harmonic
+child; for cosine-kind signals it is the even-harmonic child.  The
+dc_t1t mother stores nothing at index N/2, so its n = 0 pairing adds an
+explicit zero; those adds are still charged.
 """
 
 from .counting import cadd, csub
-
-
-def copy_leaf(x, N, table, counter, out):
-    """Leaf whose one stored sample is its one stored harmonic.
-
-    It runs only at a root: below the root, shared.run_levels hands the
-    leaf's input buffer on as its spectrum.
-    """
-    out[...] = x
 
 
 def two_point_leaf(x, N, table, counter, out):

@@ -35,9 +35,10 @@ nothing:
                via ds_oe(N), ds_oo(N)                converted spectrum
 
 Each entry is a literal Step.  The time splits, the harmonic splits of
-dc_ot and ds_ot, and the leaves copy_leaf and two_point_leaf are step
-functions of elaborations; the dc_ot and ds_ot steps, which call those
-harmonic splits and then convert, are this module's own.
+dc_ot and ds_ot, and the two-point leaf are step functions of
+elaborations; the copy leaves, dc_ot, ds_tt and ds_ot at N = 4, declare
+base None; the dc_ot and ds_ot steps, which call those harmonic splits
+and then convert, are this module's own.
 
 The complex and real drivers and the public cdft/rdft/dct0/dst0 are
 shared with the classical variant: they come from shared.entry_points,
@@ -49,9 +50,9 @@ taxonomy, one signal per column.
 """
 
 from .counting import cadd, cmul, cmul_rows
-from .elaborations import (copy_leaf, dc_ot_harmonic_forward, dc_time_backward,
-                           dc_time_forward, ds_ot_harmonic_forward, ds_time_backward,
-                           ds_time_forward, two_point_leaf)
+from .elaborations import (dc_ot_harmonic_forward, dc_time_backward, dc_time_forward,
+                           ds_ot_harmonic_forward, ds_time_backward, ds_time_forward,
+                           two_point_leaf)
 from .shared import Step, entry_points
 
 
@@ -103,11 +104,11 @@ STEPS = {
     "dc_tt": Step(2, (("dc_tt", 1), ("dc_ot", 0)), (("dc_et", 0),),
                   two_point_leaf, dc_time_forward, dc_time_backward),
     "dc_ot": Step(4, (("dc_ot", 1), ("dc_ot", 1)), (("dc_oe", 0), ("dc_oo", 0)),
-                  copy_leaf, _dct_odd_forward, _dct_odd_backward),  # S(0) = s(1) at N=4
+                  None, _dct_odd_forward, _dct_odd_backward),  # S(0) = s(1) at N=4
     "ds_tt": Step(4, (("ds_tt", 1), ("ds_ot", 0)), (("ds_et", 0),),
-                  copy_leaf, ds_time_forward, ds_time_backward),
+                  None, ds_time_forward, ds_time_backward),
     "ds_ot": Step(4, (("ds_ot", 1), ("ds_ot", 1)), (("ds_oe", 0), ("ds_oo", 0)),
-                  copy_leaf, _dst_odd_forward, _dst_odd_backward),  # S(1) = s(1) at N=4
+                  None, _dst_odd_forward, _dst_odd_backward),  # S(1) = s(1) at N=4
 }
 
 cdft, rdft, dct0, dst0 = entry_points(__name__, STEPS)

@@ -9,7 +9,8 @@ signal type (dc_tt, dc_ot, ds_to, ...) to a Step.  A Step gives
   * via: the transient signals the split forms on the way, which its
     own kernels consume, as (type, halvings of N) pairs;
   * base(x, N, table, counter, out): writes the spectrum of a leaf
-    into out;
+    into out; None declares a copy leaf, whose one stored sample is its
+    one stored harmonic;
   * forward(x, N, table, counter, outs): writes the children, in the
     order of children, into the buffers outs holds;
   * backward(N, spectra, counter, out): writes the spectrum, from the
@@ -17,7 +18,7 @@ signal type (dc_tt, dc_ot, ds_to, ...) to a Step.  A Step gives
 
 Every entry is a literal Step: the table states each split's children
 and via itself.  The step functions of the time- and harmonic-parity
-splits, one per signal type, and the leaves both tables use live in
+splits, one per signal type, and the two-point leaf live in
 elaborations; this module holds only the scheduler, the drivers and the
 entry points.
 
@@ -40,12 +41,12 @@ slots.  A time split copies both children out of their mother, so no
 child pins her past her own turn.  Every table lists a type before the
 types that it produces at the same N, so a group is complete when its
 turn comes.  A leaf writes its spectrum into a buffer of its own, but
-a copy leaf below the root, whose one stored sample is its one stored
-harmonic, hands its input buffer on as its spectrum; a root leaf copies,
-because the root's input may be the caller's array.  The
-backward pass then runs in reverse order, hands each child spectrum
-back as a column slice, and writes each group's spectrum into a buffer
-of its own, the root's into dest when one is given.  A slot or slice
+a copy leaf, declared by its base of None, hands its input buffer on as
+its spectrum below the root; at the root it copies its input, which may
+be the caller's array.  The backward pass then runs in reverse order,
+hands each child spectrum back as a column slice, and writes each
+group's spectrum into a buffer of its own, the root's into dest when
+one is given.  A slot or slice
 that spans its whole buffer is handed on whole.  Every kernel works
 column by column and charges one operation per value it writes, so the
 slots change neither a bit of a result nor a count; they only replace
@@ -78,8 +79,10 @@ A real DFT folds into one even-symmetric (cosine) and one odd-symmetric
 recombines mirrored harmonics.  These reductions and the public
 cdft/rdft/dct0/dst0 around them are the same for the classical and the
 improved recursion, so one implementation serves both, parameterized by
-the step table.  At N = 2 the sine problem is empty, below the smallest
-N a sine signal admits, and no recursion runs for it.
+the step table.  One driver, _real_spectra, forms both folds and runs
+both recursions; half_spectrum and complex_spectrum only place the two
+spectra it returns.  At N = 2 the sine problem is empty, below the
+smallest N a sine signal admits, and no recursion runs for it.
 
 Each public call runs its columns in blocks, each through that whole
 path: the folds, run_levels and cdft's recombine.  A block holds about
@@ -116,8 +119,8 @@ other dtype (object, strings, ...), complex samples for a real
 transform, or a length that periodization rejects raises ValueError.
 
 Buffer convention: every internal buffer is 2-D and real, rows by
-columns, one signal per column, and cell n of a column holds s(n).  The
-entry points turn a 1-D signal into a free (n, 1) view and squeeze the
+columns, one signal per column, and cell n of a column holds s(n).
+_in_blocks turns a 1-D signal into a free (n, 1) view and squeezes the
 result back.  cdft reads its cols complex columns as their float view,
 2 cols real columns with the real and imaginary part of each column side
 by side.  run_levels writes each spectrum into the output through dest:
@@ -131,8 +134,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .counting import OpCounter, TrigTable, cadd, csub, rows_like
-from .elaborations import copy_leaf
+from .counting import OpCounter, TrigTable, cadd, csub
 from .taxonomy import ROOT_TYPE, lk, ln, periodization
 
 # one entry of a step table; the module docstring gives the fields
@@ -160,7 +162,10 @@ def run_levels(steps, sig_type, N, root, table, counter, dest=None):
                 spectra[g] = x
             else:
                 spectra[g] = np.empty((rows, width * cols), dtype) if g or dest is None else dest
-                step.base(x, n, table, counter, spectra[g])
+                if step.base is None:  # a root copy leaf: its input may be the caller's array
+                    spectra[g][...] = x
+                else:
+                    step.base(x, n, table, counter, spectra[g])
             x = None
             continue
         outs = []
@@ -201,7 +206,8 @@ def _schedule(items, sig_type, N):
         lists the children whose spectra no later step reads.
 
     spectrum is the (rows, columns) of the group's spectrum, or (None,
-    None) for a copy leaf below the root, whose spectrum is its input.
+    None) for a copy leaf (base None) below the root, whose spectrum is
+    its input.
     """
     claimed = {(sig_type, N): 1}  # pending group -> root columns claimed so far
     index = {}                    # (type, N) -> group
@@ -233,8 +239,7 @@ def _schedule(items, sig_type, N):
         if slots is None:
             # a copy leaf below the root hands its input buffer on as its
             # spectrum; the root's input may be the caller's array
-            alias = g and step.base is copy_leaf
-            forward.append((step, n, None, (None, None) if alias else spectrum))
+            forward.append((step, n, None, (None, None) if g and step.base is None else spectrum))
             continue
         fslots, bslots, last_read = [], [], []
         for child, c0, c1 in slots:
@@ -252,15 +257,34 @@ def _schedule(items, sig_type, N):
 
 # -- real and complex drivers -------------------------------------------------
 
-def _fold(x, N, counter):
-    """One-element list of the dc_tt fold [s(0), s(1)+s(N-1), .., s(N/2)] of
-    real columns x; callers form the ds_tt fold when x may go after it."""
-    m = N // 2
-    even = rows_like(x, m + 1)
-    even[0] = x[0]
-    even[m] = x[m]
-    cadd(counter, x[1:m], x[N - 1:m:-1], even[1:m])
-    return [even]
+def _real_spectra(x, N, steps, table, counter, dest_c, dest_s, own):
+    """(cosine, sine) spectra of the real columns in the one-element list x.
+
+    The dc_tt fold [s(0), s(1)+s(N-1), .., s(N/2)] and the ds_tt fold
+    [s(1)-s(N-1), .., s(N/2-1)-s(N/2+1)] each run one recursion, whose
+    spectrum is written into dest_c or dest_s when given.  When own, x
+    is the driver's private copy: both folds are formed before either
+    recursion runs and x is dropped; otherwise x may be the caller's
+    array, and the sine fold is formed once the cosine recursion has
+    returned.  At N = 2 the sine fold is empty, below the smallest N a
+    ds_tt signal admits, and it is its own empty spectrum.
+    """
+    # N // 2 is not kept in a local: above 256 it is an int object, which
+    # would stay allocated beside the buffers of both recursions
+    x = x.pop()
+    even = np.empty((N // 2 + 1, x.shape[1]), x.dtype)
+    even[0], even[N // 2] = x[0], x[N // 2]
+    cadd(counter, x[1:N // 2], x[N - 1:N // 2:-1], even[1:N // 2])
+    even = [even]
+    if own:
+        odd, x = [csub(counter, x[1:N // 2], x[N - 1:N // 2:-1])], None
+    # run_levels takes the fold out of its list, and the emptied list goes
+    spec_c, even = run_levels(steps, "dc_tt", N, even, table, counter, dest_c), None
+    if not own:
+        odd, x = [csub(counter, x[1:N // 2], x[N - 1:N // 2:-1])], None
+    if N == 2:
+        return spec_c, odd.pop()
+    return spec_c, run_levels(steps, "ds_tt", N, odd, table, counter, dest_s)
 
 
 def complex_spectrum(z, N, steps, table, counter, out=None):
@@ -275,17 +299,11 @@ def complex_spectrum(z, N, steps, table, counter, out=None):
     cols = z.shape[1]
     cdtype = _complex_of(table.dtype)
     keep = z.dtype == cdtype and (cols == 1 or z.strides[1] == z.itemsize)
-    x = (z if keep else np.ascontiguousarray(z, cdtype)).view(table.dtype)
     m = N // 2
     view = None if out is None else out.view(table.dtype)
-    even, odd = _fold(x, N, counter), None
-    if not keep:  # the copy goes before either recursion runs
-        odd, x = [csub(counter, x[1:m], x[N - 1:m:-1])], None
-    spec_c = run_levels(steps, "dc_tt", N, even, table, counter,
-                        None if view is None else view[:m + 1])
-    if odd is None:  # the ds_tt fold of the caller's own samples
-        odd, x = [csub(counter, x[1:m], x[N - 1:m:-1])], None
-    spec_s = _sine_spectrum(odd, N, steps, table, counter)
+    spec_c, spec_s = _real_spectra(
+        [(z if keep else np.ascontiguousarray(z, cdtype)).view(table.dtype)], N, steps, table,
+        counter, None if view is None else view[:m + 1], None, not keep)
     if view is None:
         out = np.empty((N, cols), cdtype)
         view = out.view(table.dtype)
@@ -304,17 +322,6 @@ def complex_spectrum(z, N, steps, table, counter, out=None):
     return out
 
 
-def _sine_spectrum(odd, N, steps, table, counter, dest=None):
-    """Spectrum of the ds_tt fold in the one-element list odd.
-
-    At N = 2 the fold is empty, below the smallest N a ds_tt signal
-    admits, and it is its own empty spectrum: no recursion runs.
-    """
-    if N == 2:
-        return odd.pop()
-    return run_levels(steps, "ds_tt", N, odd, table, counter, dest)
-
-
 def _complex_of(dtype):
     return np.complex64 if dtype == np.float32 else np.complex128
 
@@ -322,12 +329,9 @@ def _complex_of(dtype):
 def half_spectrum(x, N, steps, table, counter, out=None):
     """Harmonics 0..N/2 of real columns, written into out, or into a new
     array, allocated once both spectra exist, when out is None."""
-    spec_c = run_levels(steps, "dc_tt", N, _fold(x, N, counter), table, counter,
-                        None if out is None else out.real)
-    odd = [csub(counter, x[1:N // 2], x[N - 1:N // 2:-1])]  # the ds_tt fold
-    x = None
-    spec_s = _sine_spectrum(odd, N, steps, table, counter,
-                            None if out is None else out.imag[1:-1])
+    spec_c, spec_s = _real_spectra([x], N, steps, table, counter,
+                                   None if out is None else out.real,
+                                   None if out is None else out.imag[1:-1], False)
     if out is None:
         out = np.empty(spec_c.shape, _complex_of(spec_c.dtype))
         out.real = spec_c
@@ -390,6 +394,7 @@ def _block_width(rows, cols, itemsize):
 def _in_blocks(x, dtype, run, *args):
     """run(x, *args, None) over the columns of x, one block at a time.
 
+    A 1-D x is one signal: it runs as one column and comes back 1-D.
     run(block, *args, out) transforms a block of columns, whose samples
     it works in dtype, and writes the result into out, or into an array
     of its own when out is None, as for the first block.  The module
@@ -398,13 +403,15 @@ def _in_blocks(x, dtype, run, *args):
     through every call.  Every ufunc runs with UFUNC_BUFSIZE, and the
     caller's buffer size is restored on the way out.
     """
+    one = x.ndim == 1  # one signal: run as a free (n, 1) view, squeezed back
+    x = x[:, None] if one else x
     cols = x.shape[1]
     width = _block_width(*x.shape, np.dtype(dtype).itemsize)
     bufsize = np.setbufsize(UFUNC_BUFSIZE)
     try:
         first = run(x[:, :width], *args, None)
         if cols <= width:
-            return first
+            return first[:, 0] if one else first
         out = np.empty((first.shape[0], cols), first.dtype)
         out[:, :width] = first
         first = None
@@ -444,16 +451,6 @@ def _prepare(values, transform, table, counter):
     return x, N, table, OpCounter() if counter is None else counter
 
 
-def _columns(x):
-    """x as rows by columns: a 1-D signal becomes a free (n, 1) view."""
-    return x[:, None] if x.ndim == 1 else x
-
-
-def _shaped_like(out, x):
-    """out with x's number of dimensions: one column back to a 1-D signal."""
-    return out[:, 0] if x.ndim == 1 else out
-
-
 def entry_points(module, steps):
     """(cdft, rdft, dct0, dst0) of the recursion declared by this step table.
 
@@ -467,26 +464,22 @@ def entry_points(module, steps):
     def cdft(values, table=None, counter=None):
         """complex DFT, reported for k = 0..N-1."""
         z, N, table, counter = _prepare(values, "cdft", table, counter)
-        return _shaped_like(_in_blocks(_columns(z), _complex_of(table.dtype), complex_spectrum,
-                                       N, steps, table, counter), z)
+        return _in_blocks(z, _complex_of(table.dtype), complex_spectrum, N, steps, table, counter)
 
     def rdft(values, table=None, counter=None):
         """real-input DFT, reported for k = 0..N/2."""
         x, N, table, counter = _prepare(values, "rdft", table, counter)
-        return _shaped_like(_in_blocks(_columns(x), x.dtype, half_spectrum,
-                                       N, steps, table, counter), x)
+        return _in_blocks(x, x.dtype, half_spectrum, N, steps, table, counter)
 
     def dct0(values, table=None, counter=None):
         """cosine transform; values are s(0)..s(N/2)."""
         x, N, table, counter = _prepare(values, "dct0", table, counter)
-        return _shaped_like(_in_blocks(_columns(x), x.dtype, one_recursion,
-                                       ROOT_TYPE["dct0"], N, steps, table, counter), x)
+        return _in_blocks(x, x.dtype, one_recursion, ROOT_TYPE["dct0"], N, steps, table, counter)
 
     def dst0(values, table=None, counter=None):
         """sine transform; values are s(1)..s(N/2-1)."""
         x, N, table, counter = _prepare(values, "dst0", table, counter)
-        return _shaped_like(_in_blocks(_columns(x), x.dtype, one_recursion,
-                                       ROOT_TYPE["dst0"], N, steps, table, counter), x)
+        return _in_blocks(x, x.dtype, one_recursion, ROOT_TYPE["dst0"], N, steps, table, counter)
 
     fns = (cdft, rdft, dct0, dst0)
     for fn in fns:

@@ -122,6 +122,22 @@ def test_validation_exits_one(argv, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv,option", [
+    # a closed-form check of no size would pass having checked nothing
+    (["cost-table", "--algorithm", "classical", "--sizes", ""], "--sizes"),
+    (["cost-table", "--algorithm", "improved", "--sizes", ","], "--sizes"),
+    # and an accuracy run of no size must not run the default sizes instead
+    (["accuracy", "--sizes", ","], "--sizes"),
+    (["accuracy", "--sizes", "16", "--trials", "-1"], "--trials"),
+    (["accuracy", "--sizes", "16", "--trials", "0"], "--trials"),
+])
+def test_empty_sizes_and_no_trials_exit_one(argv, option, capsys):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert option in captured.err
+
+
 def test_argparse_errors_exit_one():
     with pytest.raises(SystemExit) as info:
         main(["bogus-subcommand"])
