@@ -47,7 +47,7 @@ shared.entry_points, bound to this table.
 
 import math
 
-from .counting import cadd, cmul, cmul_rows, csub
+from .counting import cadd, cmul, cmul_rows, csub, place
 from .elaborations import (dc_harmonic_backward, dc_t1t_harmonic_forward,
                            dc_tt_harmonic_forward, ds_harmonic_backward, ds_tt_harmonic_forward,
                            two_point_leaf)
@@ -57,7 +57,7 @@ from .shared import Step, entry_points
 def _dct_odd_leaf(x, N, table, counter, out):
     """Odd harmonics of a dc_to buffer [s(0)..s(N/4-1)] at N = 4 or 8."""
     if N == 4:
-        out[...] = x  # S(1) = s(0)
+        place(counter, x, out)  # S(1) = s(0)
     else:  # two-point definition: S(1), S(3) = s(0) +- s(1) cos(2 pi/8),
         # the product formed in S(3)'s cell
         t = cmul(counter, x[1:2], table.half_secant(1, 8), out[1:2])
@@ -95,7 +95,7 @@ def _dst_odd_forward(x, N, table, counter, outs):
     and split off the centre sample s(N/4) as a one-cell ds_e1o signal."""
     q = N // 4
     cmul_rows(counter, x[0:q - 1], table.half_secants(N, range(1, q)), outs[0])
-    outs[1][...] = x[q - 1:q]
+    place(counter, x[q - 1:q], outs[1])
 
 
 def _dst_odd_backward(N, spectra, counter, out):
@@ -104,8 +104,8 @@ def _dst_odd_backward(N, spectra, counter, out):
     spec, center = spectra[0], spectra[1][0]
     # neighbours at harmonics 0 and N/2 vanish for a sine spectrum, so the
     # first and last odd harmonics are free copies
-    out[0] = spec[0]
-    out[q - 1] = spec[q - 2]
+    place(counter, spec[0], out[0])
+    place(counter, spec[q - 2], out[q - 1])
     cadd(counter, spec[0:q - 2], spec[1:q - 1], out[1:q - 1])
     # s(N/4) feeds every odd harmonic with alternating sign
     cadd(counter, out[0::2], center, out[0::2])

@@ -17,6 +17,7 @@ import argparse
 import ast
 import contextlib
 import sys
+import threading
 
 import numpy as np
 
@@ -169,6 +170,15 @@ def _run_tree(args):
     return 0
 
 
+def _three_calls(fn, z, runs):
+    """Append (spectrum bytes, adds, muls, sorted constants touched) of
+    three calls of fn on z to runs."""
+    for _ in range(3):
+        table, counter = TrigTable(np.float64), OpCounter()
+        out = fn(z, table=table, counter=counter)
+        runs.append((out.tobytes(), counter.adds, counter.muls, sorted(table.touched)))
+
+
 def _run_selftest(args):
     from . import accuracy, costmodel, reference, tree
 
@@ -198,6 +208,18 @@ def _run_selftest(args):
             raise AssertionError(
                 f"{algorithm} touched {table.touched_count()} constants, not {want}")
         print(f"ok {algorithm} constant footprint ({want})")
+
+    for algorithm in ALGORITHMS:
+        z = rng.uniform(-0.5, 0.5, 256) + 1j * rng.uniform(-0.5, 0.5, 256)
+        # in a fresh thread call 1 runs plain, call 2 records and call 3 replays
+        runs = []
+        worker = threading.Thread(target=_three_calls,
+                                  args=(transform_fn(algorithm, "cdft"), z, runs))
+        worker.start()
+        worker.join()
+        if len(runs) != 3 or runs[2] != runs[0]:
+            raise AssertionError(f"{algorithm} cdft replay differs from its plain run")
+        print(f"ok {algorithm} replay matches the plain run")
 
     for algorithm in ALGORITHMS:
         root = tree.build_tree(algorithm, "cdft", 256)

@@ -2,7 +2,8 @@
 
 The fast transforms route every real addition and multiplication through
 the counted helpers here, so measured operation counts are exact rather
-than estimated.  Constants come from a TrigTable that logs which entries
+than estimated, and every copy or sign flip through place, which counts
+nothing: a counter that records a tape then sees every write of a run.  Constants come from a TrigTable that logs which entries
 a run touched, keyed by what the constant is (a reduced angle fraction,
 or the named eighth-turn cosine), so equal angles collapse to one entry
 no matter which recursion level asked for them.
@@ -25,7 +26,14 @@ _WIDE_PI = np.longdouble("3.14159265358979323846264338327950288419716939937510")
 
 
 class OpCounter:
-    """Tally of real additions and multiplications."""
+    """Tally of real additions and multiplications.
+
+    While tape is a list, as in a counter that records a tape (see
+    shared), every helper below also appends what it ran to it, as
+    (ufunc, inputs, output), ufunc None for a copy.
+    """
+
+    tape = None
 
     def __init__(self):
         self.adds = 0
@@ -47,12 +55,16 @@ def cadd(counter, x, y, out=None):
     """Counted elementwise addition, into out if given; one real add per output value."""
     r = x + y if out is None else np.add(x, y, out)
     counter.adds += r.size
+    if counter.tape is not None:
+        counter.tape.append((np.add, (x, y), r))
     return r
 
 
 def csub(counter, x, y, out=None):
     r = x - y if out is None else np.subtract(x, y, out)
     counter.adds += r.size
+    if counter.tape is not None:
+        counter.tape.append((np.subtract, (x, y), r))
     return r
 
 
@@ -60,14 +72,29 @@ def cmul(counter, x, y, out=None):
     """Counted elementwise multiplication, into out if given; one real multiply per output value."""
     r = x * y if out is None else np.multiply(x, y, out)
     counter.muls += r.size
+    if counter.tape is not None:
+        counter.tape.append((np.multiply, (x, y), r))
     return r
 
 
 def cmul_rows(counter, x, w, out=None):
     """Counted multiply of each row of x (rows, signals) by its own constant w[i]."""
-    r = x * w[:, None] if out is None else np.multiply(x, w[:, None], out)
+    w = w[:, None]
+    r = x * w if out is None else np.multiply(x, w, out)
     counter.muls += r.size
+    if counter.tape is not None:
+        counter.tape.append((np.multiply, (x, w), r))
     return r
+
+
+def place(counter, x, out, ufunc=None):
+    """Uncounted write of x, or of ufunc(x), into out: copies and sign flips are free."""
+    if ufunc is None:
+        out[...] = x
+    else:
+        ufunc(x, out)
+    if counter.tape is not None:
+        counter.tape.append((ufunc, (x,), out))
 
 
 _PIPELINES = ("two_tier", "single_tier")

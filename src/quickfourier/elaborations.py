@@ -42,7 +42,7 @@ dc_t1t mother stores nothing at index N/2, so its n = 0 pairing adds an
 explicit zero; those adds are still charged.
 """
 
-from .counting import cadd, csub
+from .counting import cadd, csub, place
 
 
 def two_point_leaf(x, N, table, counter, out):
@@ -55,13 +55,15 @@ def two_point_leaf(x, N, table, counter, out):
 
 def dc_time_forward(x, N, table, counter, outs):
     """Route dc_tt samples by index parity into outs = (dc_et, dc_ot)."""
-    outs[0][...], outs[1][...] = x[0::2], x[1::2]
+    place(counter, x[0::2], outs[0])
+    place(counter, x[1::2], outs[1])
 
 
 def ds_time_forward(x, N, table, counter, outs):
     """Route ds_tt samples by index parity into outs = (ds_et, ds_ot)."""
     # slots are n-1, so even indices live in the odd slots
-    outs[0][...], outs[1][...] = x[1::2], x[0::2]
+    place(counter, x[1::2], outs[0])
+    place(counter, x[0::2], outs[1])
 
 
 def dc_time_backward(N, spectra, counter, out):
@@ -74,7 +76,7 @@ def dc_time_backward(N, spectra, counter, out):
     q = N // 4
     cadd(counter, even[0:q], odd, out[0:q])
     csub(counter, even[0:q], odd, out[N // 2:q:-1])
-    out[q] = even[q]
+    place(counter, even[q:q + 1], out[q:q + 1])
 
 
 def ds_time_backward(N, spectra, counter, out):
@@ -87,7 +89,7 @@ def ds_time_backward(N, spectra, counter, out):
     q = N // 4
     cadd(counter, odd[0:q - 1], even, out[0:q - 1])
     csub(counter, odd[0:q - 1], even, out[N // 2 - 2:q - 1:-1])
-    out[q - 1] = odd[q - 1]
+    place(counter, odd[q - 1:q], out[q - 1:q])
 
 
 # -- harmonic-parity splits ---------------------------------------------------
@@ -98,7 +100,7 @@ def dc_tt_harmonic_forward(x, N, table, counter, outs):
     q, m = N // 4, N // 2
     a, b = x[0:q], x[m:q:-1]
     cadd(counter, a, b, even[:q])
-    even[q] = x[q]
+    place(counter, x[q:q + 1], even[q:q + 1])
     csub(counter, a, b, odd)
 
 
@@ -111,7 +113,7 @@ def dc_t1t_harmonic_forward(x, N, table, counter, outs):
     csub(counter, x[0:1], 0.0, odd[0:1])
     cadd(counter, a, b, even[1:q])
     csub(counter, a, b, odd[1:q])
-    even[q] = x[q]
+    place(counter, x[q:q + 1], even[q:q + 1])
 
 
 def dc_ot_harmonic_forward(x, N, table, counter, outs):
@@ -128,7 +130,7 @@ def ds_tt_harmonic_forward(x, N, table, counter, outs):
     q, m = N // 4, N // 2
     a, b = x[0:q - 1], x[m - 2:q - 1:-1]
     cadd(counter, a, b, odd[:q - 1])
-    odd[q - 1] = x[q - 1]  # the N/4 sample only feeds odd harmonics
+    place(counter, x[q - 1:q], odd[q - 1:q])  # the N/4 sample only feeds odd harmonics
     csub(counter, a, b, even)
 
 
@@ -142,9 +144,11 @@ def ds_ot_harmonic_forward(x, N, table, counter, outs):
 
 def dc_harmonic_backward(N, spectra, counter, out):
     """Interleave a cosine split's child spectra into out; no arithmetic."""
-    out[0::2], out[1::2] = spectra
+    place(counter, spectra[0], out[0::2])
+    place(counter, spectra[1], out[1::2])
 
 
 def ds_harmonic_backward(N, spectra, counter, out):
     """Interleave a sine split's child spectra into out; no arithmetic."""
-    out[1::2], out[0::2] = spectra
+    place(counter, spectra[0], out[1::2])
+    place(counter, spectra[1], out[0::2])

@@ -49,7 +49,7 @@ comes from the TrigTable.  Buffers follow the stored-slot order of the
 taxonomy, one signal per column.
 """
 
-from .counting import cadd, cmul, cmul_rows
+from .counting import cadd, cmul, cmul_rows, place
 from .elaborations import (dc_ot_harmonic_forward, dc_time_backward, dc_time_forward,
                            ds_ot_harmonic_forward, ds_time_backward, ds_time_forward,
                            two_point_leaf)
@@ -72,12 +72,12 @@ def _dct_odd_backward(N, spectra, counter, out):
     sum of its two even neighbours in the converted spectrum."""
     even, spec = spectra
     h = N // 8
-    out[0::2] = even
+    place(counter, even, out[0::2])
     odd = out[1::2]
     # the neighbour at N/4 vanishes for odd-time signals, so the last odd
     # harmonic is a free copy
     cadd(counter, spec[0:h - 1], spec[1:h], odd[:h - 1])
-    odd[h - 1] = spec[h - 1]
+    place(counter, spec[h - 1], odd[h - 1])
 
 
 def _dst_odd_forward(x, N, table, counter, outs):
@@ -92,11 +92,11 @@ def _dst_odd_backward(N, spectra, counter, out):
     sum of its two even neighbours in the converted spectrum."""
     even, spec = spectra
     h = N // 8
-    out[1::2] = even
+    place(counter, even, out[1::2])
     odd = out[0::2]
     # the neighbour at harmonic 0 vanishes for a sine spectrum, so the
     # first odd harmonic is a free copy
-    odd[0] = spec[0]
+    place(counter, spec[0], odd[0])
     cadd(counter, spec[0:h - 1], spec[1:h], odd[1:])
 
 

@@ -106,7 +106,35 @@ and 3.57 times its input at N = 4096, 1024 and 256 (classical 2.36,
 output once the first block's result exists and copies that result in;
 every later block writes its spectra straight into the output's
 columns, so the call peaks at the output plus one block's working set,
-1.156-1.160 times an 8 MiB input's bytes.
+1.156-1.160 times an 8 MiB input's bytes.  These peaks are those of a
+plain call, which the next paragraph's tapes skip.
+
+The schedule a block runs never changes for a given key: the driver,
+the step table, the root type and N, the block's shape and dtype, and
+the table's dtype and pipeline.  So a call that runs as one block of at
+most TAPE_BYTES of working input replays a tape: the list of every ufunc
+call and copy of that block's plain run, the folds, both recursions and
+cdft's recombine or rdft's packing, each bound in advance to views of
+one arena the tape owns.  The arena packs the buffers of the plain run
+by the interval of ops that use each, so that no op's operands share
+bytes that they did not share there; the same ufuncs then run on the
+same values in the same order, and outputs, counts and constant
+footprints are bitwise a plain run's.  A thread's first call of a key
+runs plain and only marks it, so one-shot calls pay nothing; its second
+records the tape, which holds every buffer of that run until the arena
+is packed, and its later calls replay it.  A replay copies the caller's
+block into the arena, so the caller's array is never written and any
+layout replays the same tape; it returns a fresh copy of the arena's
+output, adds the recorded adds and muls to the caller's counter and the
+recorded lookups to the caller's table log.  A tape holds no table,
+counter or caller array.  Tapes live in a per-thread cache, which holds
+at most TAPE_KEYS keys and TAPE_HELD_BYTES of arenas, evicting the least
+recently used, so no state is shared between threads.  A block replays
+only when it runs through this module's own driver, run_levels and
+numpy, with a plain TrigTable, and its tape is not busy: a tracer or a
+test that wraps or patches one of them sees every call.  The counted
+helpers and counting.place, which every bare write of the step
+functions and drivers goes through, feed the recorder.
 
 Input contract of the public transforms: one signal as a 1-D array, or
 independent signals as the columns of a 2-D array, of a numeric dtype
@@ -129,12 +157,13 @@ runs in place, rdft's into out.real and out.imag, dct0's and dst0's into
 out itself.
 """
 
+import threading
 from collections import namedtuple
 from functools import lru_cache
 
 import numpy as np
 
-from .counting import OpCounter, TrigTable, cadd, csub
+from .counting import OpCounter, TrigTable, cadd, csub, place
 from .taxonomy import ROOT_TYPE, lk, ln, periodization
 
 # one entry of a step table; the module docstring gives the fields
@@ -163,7 +192,7 @@ def run_levels(steps, sig_type, N, root, table, counter, dest=None):
             else:
                 spectra[g] = np.empty((rows, width * cols), dtype) if g or dest is None else dest
                 if step.base is None:  # a root copy leaf: its input may be the caller's array
-                    spectra[g][...] = x
+                    place(counter, x, spectra[g])
                 else:
                     step.base(x, n, table, counter, spectra[g])
             x = None
@@ -273,7 +302,8 @@ def _real_spectra(x, N, steps, table, counter, dest_c, dest_s, own):
     # would stay allocated beside the buffers of both recursions
     x = x.pop()
     even = np.empty((N // 2 + 1, x.shape[1]), x.dtype)
-    even[0], even[N // 2] = x[0], x[N // 2]
+    place(counter, x[0], even[0])
+    place(counter, x[N // 2], even[N // 2])
     cadd(counter, x[1:N // 2], x[N - 1:N // 2:-1], even[1:N // 2])
     even = [even]
     if own:
@@ -307,7 +337,7 @@ def complex_spectrum(z, N, steps, table, counter, out=None):
     if view is None:
         out = np.empty((N, cols), cdtype)
         view = out.view(table.dtype)
-        view[:m + 1] = spec_c
+        place(counter, spec_c, view[:m + 1])
     spec_c = None
     # columns 0::2 hold the real parts' spectra, 1::2 the imaginary parts';
     # a component's half spectrum is C - i S, so for k = 1..N/2-1 S(k) =
@@ -334,10 +364,11 @@ def half_spectrum(x, N, steps, table, counter, out=None):
                                    None if out is None else out.imag[1:-1], False)
     if out is None:
         out = np.empty(spec_c.shape, _complex_of(spec_c.dtype))
-        out.real = spec_c
+        place(counter, spec_c, out.real)
     spec_c = None
-    np.negative(spec_s, out=out.imag[1:-1])  # Im(k) = -sine spectrum; the sign flip is free
-    out.imag[0] = out.imag[-1] = 0  # harmonics 0 and N/2 of a real signal are real
+    place(counter, spec_s, out.imag[1:-1], np.negative)  # Im(k) = -sine spectrum
+    place(counter, 0, out.imag[0])  # harmonics 0 and N/2 of a real signal are real
+    place(counter, 0, out.imag[-1])
     return out
 
 
@@ -405,11 +436,15 @@ def _in_blocks(x, dtype, run, *args):
     """
     one = x.ndim == 1  # one signal: run as a free (n, 1) view, squeezed back
     x = x[:, None] if one else x
-    cols = x.shape[1]
-    width = _block_width(*x.shape, np.dtype(dtype).itemsize)
+    rows, cols = x.shape
+    itemsize = np.dtype(dtype).itemsize
+    width = _block_width(rows, cols, itemsize)
     bufsize = np.setbufsize(UFUNC_BUFSIZE)
     try:
-        first = run(x[:, :width], *args, None)
+        if cols <= width and rows * cols * itemsize <= TAPE_BYTES:
+            first = _taped(x, dtype, run, args)
+        else:
+            first = run(x[:, :width], *args, None)
         if cols <= width:
             return first[:, 0] if one else first
         out = np.empty((first.shape[0], cols), first.dtype)
@@ -420,6 +455,131 @@ def _in_blocks(x, dtype, run, *args):
         return out
     finally:
         np.setbufsize(bufsize)
+
+
+# -- tapes --------------------------------------------------------------------
+
+# A one-block call of at most TAPE_BYTES of working input replays a tape;
+# the module docstring says when.  A replay gains less as its block grows,
+# while the arena it holds between calls, about 2.3 times the input,
+# grows with it: replay over plain call time (median of 10 per shape, both
+# algorithms, float64 cdft and rdft, one column at N = 4096..65536 and
+# 16..256 columns at N = 256, 2-vCPU Xeon) read 0.50-0.66 up to 64 KiB,
+# 0.65-0.76 at 128 KiB, 0.64-0.86 at 256 KiB and 0.79-0.94 at 512 KiB and
+# 1 MiB, but for cdft at 256 columns (0.58).  At 64 KiB every one-signal
+# call up to N = 4096 is taped, and a tape holds at most 148 KiB
+TAPE_BYTES = 64 << 10
+# per thread: the keys marked by a first call and the keys with a tape,
+# least recently used evicted first, and the bytes the tapes' arenas hold.
+# The 32 one-signal float64 calls of both algorithms, all four transforms
+# and N = 64..4096 hold 805 KiB of arenas together
+TAPE_KEYS = 256
+TAPE_HELD_BYTES = 2 << 20
+_TAPES = threading.local()
+
+
+def _taped(x, dtype, run, args):
+    """run(x, *args, None) for one small block, replayed from this thread's tape.
+
+    A block replays only when it runs through this module's own driver,
+    run_levels and numpy, with a plain TrigTable, and its tape is not
+    busy, as in a call from inside its own replay; a wrapped or patched
+    one runs plain.
+    """
+    *head, steps, table, counter = args
+    if not (run in _DRIVERS and run_levels is _RUN_LEVELS and np is _NUMPY
+            and type(table) is TrigTable):
+        return run(x, *args, None)
+    key = (run, *head, tuple(steps.items()), x.shape, x.dtype, table.dtype, table.pipeline)
+    entries = _TAPES.__dict__.setdefault("entries", {})  # key -> tape, or None once marked
+    if key not in entries:  # a first call only marks its key
+        entries[key] = None
+        if len(entries) > TAPE_KEYS:
+            del entries[next(iter(entries))]
+        return run(x, *args, None)
+    tape = entries.pop(key)  # out of the cache while busy
+    if tape is None:
+        tape = _record(x, dtype, run, head, steps, table)
+        held = sum(t.arena.nbytes for t in entries.values() if t is not None)
+        while entries and held + tape.arena.nbytes > TAPE_HELD_BYTES:
+            old = entries.pop(next(iter(entries)))
+            held -= 0 if old is None else old.arena.nbytes
+    out = _replay(tape, x, table, counter)
+    entries[key] = tape  # the most recently used go last
+    return out
+
+
+def _owner(a):
+    return a if a.base is None else a.base  # NumPy points every view at the owner
+
+
+def _address(a):
+    return a.__array_interface__["data"][0]
+
+
+def _record(x, dtype, run, head, steps, table):
+    """Tape of a plain run of the block x, recorded on a copy of it.
+
+    The run charges a counter and logs into a table of its own, whose
+    counts and log the tape keeps.  Every buffer the run writes is packed
+    into one arena by the interval of tape ops from its first to its last
+    use, largest first, each at the lowest offset where it shares no byte
+    with a buffer whose interval meets its own.  The root's interval opens
+    before the first op, for the copy in, and the output's closes after
+    the last, for the copy out.
+    """
+    rec, log = OpCounter(), TrigTable(table.dtype, table.pipeline)
+    rec.tape = []
+    root = np.array(x, dtype, order="C")  # a copy of its own
+    out = run(root, *head, steps, log, rec, None)
+    ops = rec.tape
+    buffers = {id(root): root}  # what the block writes, by id
+    uses = [(-1, root, id(root))]  # (op, array operand, id of the buffer it views)
+    for i, (_, ins, o) in enumerate(ops):
+        buffers.setdefault(id(_owner(o)), _owner(o))
+        uses += [(i, a, id(_owner(a))) for a in (*ins, o) if isinstance(a, np.ndarray)]
+    uses.append((len(ops), out, id(_owner(out))))
+    first, last = {}, {}
+    for i, _, k in uses:
+        if k in buffers:
+            first.setdefault(k, i)
+            last[k] = i
+    offsets, placed = {}, []
+    for k in sorted(first, key=lambda k: (-buffers[k].nbytes, first[k])):
+        size, off = -(-max(buffers[k].nbytes, 1) // 64) * 64, 0
+        for o0, o1 in sorted((o0, o1) for o0, o1, f, l in placed
+                             if f <= last[k] and first[k] <= l):
+            if off + size <= o0:
+                break
+            off = max(off, o1)
+        placed.append((off, off + size, first[k], last[k]))
+        offsets[k] = off - _address(buffers[k])
+    arena = np.empty(max(o1 for _, o1, _, _ in placed), np.uint8)
+    # each operand rebound to the arena; scalars and the shared cache's
+    # read-only constants are kept as they are
+    views = {i: np.ndarray(a.shape, a.dtype, arena, offsets[k] + _address(a), a.strides)
+             for i, (a, k) in {id(a): (a, k) for _, a, k in uses}.items() if k in offsets}
+    calls = []
+    for ufunc, ins, o in ops:
+        ins, o = [views.get(id(a), a) for a in ins], views[id(o)]
+        calls.append((o.__setitem__, (Ellipsis, *ins)) if ufunc is None else (ufunc, (*ins, o)))
+    return _Tape(calls, views[id(root)], views[id(out)], rec.adds, rec.muls, log._log, arena)
+
+
+# a block's recorded calls, bound to views of the one arena it owns
+_Tape = namedtuple("_Tape", "calls root out adds muls log arena")
+
+
+def _replay(tape, x, table, counter):
+    """A fresh output of the block x from its tape, whose counts and
+    lookups go to the caller's counter and table."""
+    tape.root[...] = x
+    for fn, args in tape.calls:
+        fn(*args)
+    counter.adds += tape.adds
+    counter.muls += tape.muls
+    table._log.update(tape.log)
+    return tape.out.copy()
 
 
 # -- public entry points ----------------------------------------------------
@@ -487,3 +647,7 @@ def entry_points(module, steps):
         fn.__qualname__ = fn.__name__
         fn.__doc__ = f"{algorithm} {fn.__doc__}"
     return fns
+
+
+# what a block must run through to replay its tape
+_DRIVERS, _RUN_LEVELS, _NUMPY = (complex_spectrum, half_spectrum, one_recursion), run_levels, np

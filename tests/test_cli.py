@@ -98,7 +98,7 @@ def test_selftest(capsys):
     assert main(["selftest"]) == 0
     out = capsys.readouterr().out
     assert out.strip().endswith("selftest passed")
-    assert out.count("ok ") == 8
+    assert out.count("ok ") == 10
 
 
 @pytest.mark.parametrize("argv", [

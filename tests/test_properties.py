@@ -7,6 +7,11 @@ float32.  Where a property relates a fast result to a spectrum, that
 spectrum is numpy.fft's, in float64, of the same samples.
 """
 
+import pathlib
+import shutil
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -14,6 +19,7 @@ from hypothesis import strategies as st
 
 from quickfourier import classical, improved
 from quickfourier.accuracy import relative_rms_error
+from quickfourier.counting import OpCounter
 from quickfourier.taxonomy import stored_length
 
 MODULES = {"classical": classical, "improved": improved}
@@ -177,3 +183,44 @@ def test_cosine_and_sine_transforms_are_parts_of_rdft(algorithm, transform, dtyp
     spectrum = module.rdft(extension(transform, s, N))
     assert_close(got, spectrum.real if transform == "dct0" else -spectrum.imag[1:N // 2],
                  dtype)
+
+
+@pytest.mark.parametrize("transform", ["cdft", "rdft", "dct0", "dst0"])
+@pytest.mark.parametrize("algorithm", sorted(MODULES))
+@PROPERTY
+@given(lg=SIZES, k=st.integers(2, 3), seed=SEEDS)
+@example(lg=16, k=3, seed=5)
+def test_k_columns_count_k_times_one(algorithm, transform, lg, k, seed):
+    # columns are independent signals: a call on k of them charges exactly
+    # k times the adds and muls of a call on one
+    N = size(lg, np.float64)
+    x = samples(transform, N, k, np.float64, np.random.default_rng(seed))
+    fn = getattr(MODULES[algorithm], transform)
+    one, many = OpCounter(), OpCounter()
+    fn(x[:, 0], counter=one)
+    fn(x, counter=many)
+    assert (many.adds, many.muls) == (k * one.adds, k * one.muls)
+
+
+FAILING_PROPERTY = """
+from hypothesis import given, settings, strategies as st
+
+@settings(database=None, deadline=None, derandomize=True)
+@given(st.integers(0, 100))
+def test_fails(n):
+    assert n < 10
+"""
+
+
+def test_a_failing_property_reports_its_example(tmp_path):
+    # under this project's pytest settings, where warnings are errors, a
+    # failing property must end in a failure report with its falsifying
+    # example, not in an INTERNALERROR that stops the run
+    shutil.copy(pathlib.Path(__file__).parents[1] / "pyproject.toml", tmp_path)
+    (tmp_path / "test_failing.py").write_text(FAILING_PROPERTY)
+    proc = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                           "test_failing.py"], cwd=tmp_path, capture_output=True, text=True,
+                          timeout=300)
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    assert "Falsifying example" in proc.stdout
+    assert "INTERNALERROR" not in proc.stdout + proc.stderr
