@@ -106,35 +106,50 @@ and 3.57 times its input at N = 4096, 1024 and 256 (classical 2.36,
 output once the first block's result exists and copies that result in;
 every later block writes its spectra straight into the output's
 columns, so the call peaks at the output plus one block's working set,
-1.156-1.160 times an 8 MiB input's bytes.  These peaks are those of a
-plain call, which the next paragraph's tapes skip.
+1.13-1.16 times an 8 MiB input's bytes.  These peaks are those of a
+plain call; a replayed call allocates its output and little else (see
+below).
 
 The schedule a block runs never changes for a given key: the driver,
-the step table, the root type and N, the block's shape and dtype, and
-the table's dtype and pipeline.  So a call that runs as one block of at
-most TAPE_BYTES of working input replays a tape: the list of every ufunc
-call and copy of that block's plain run, the folds, both recursions and
-cdft's recombine or rdft's packing, each bound in advance to views of
-one arena the tape owns.  The arena packs the buffers of the plain run
-by the interval of ops that use each, so that no op's operands share
-bytes that they did not share there; the same ufuncs then run on the
-same values in the same order, and outputs, counts and constant
-footprints are bitwise a plain run's.  A thread's first call of a key
-runs plain and only marks it, so one-shot calls pay nothing; its second
-records the tape, which holds every buffer of that run until the arena
-is packed, and its later calls replay it.  A replay copies the caller's
-block into the arena, so the caller's array is never written and any
-layout replays the same tape; it returns a fresh copy of the arena's
-output, adds the recorded adds and muls to the caller's counter and the
-recorded lookups to the caller's table log.  A tape holds no table,
-counter or caller array.  Tapes live in a per-thread cache, which holds
-at most TAPE_KEYS keys and TAPE_HELD_BYTES of arenas, evicting the least
-recently used, so no state is shared between threads.  A block replays
-only when it runs through this module's own driver, run_levels and
-numpy, with a plain TrigTable, and its tape is not busy: a tracer or a
-test that wraps or patches one of them sees every call.  The counted
-helpers and counting.place, which every bare write of the step
-functions and drivers goes through, feed the recorder.
+the step table, the root type and N, the block's shape, whether it is a
+whole call, and the table's dtype and pipeline.  So every block of a
+wide call, and every one-block call of at most BLOCK_BYTES, replays a
+tape: the list of every ufunc call and copy of the block's plain run,
+the folds, both recursions and cdft's recombine or rdft's packing,
+bound in advance to views of an arena.  The arena packs the buffers of
+the plain run by the interval of ops that use each, so that no op's
+operands share bytes that they did not share there; the same ufuncs
+then run on the same values in the same order, and outputs, counts and
+constant footprints are bitwise a plain run's.  A thread's first block
+of a key runs plain and only marks it, so one-shot calls pay nothing;
+its second records the tape and later ones replay it, so a wide call of
+equal blocks replays from its third block on.  Recording keeps each
+operand as a few ints, (buffer serial, byte offset, shape, strides),
+and knows the run's buffers by weak reference only, so it holds none of
+them: it peaks 1.10-1.21 times a plain call at one column of N = 4096.
+An operand that views the block or the output is kept as a basic index:
+a replay reads the block through the view or copy that the driver
+makes, and a wide call's blocks write the output's columns through
+views of their own.  A one-block tape's arena also holds a region for
+the block, which a replay copies in, and the output, which it copies
+out: at one-block sizes two copies cost less than a view of each such
+operand.  Each thread keeps one arena of at most TAPE_HELD_BYTES, which
+every tape that fits binds to once and keeps between calls; a larger
+tape binds an arena for its block only.  So a replayed call allocates
+its output and the views of its block and output: an 8 MiB wide call
+peaks at 1.003-1.005 times its input's bytes, beside the 1.3 MiB arena
+its thread keeps, and the call that records peaks at 1.18-1.19.  A
+replay adds the recorded adds and muls to the caller's counter and the
+recorded lookups to the caller's table log; a tape holds no table,
+counter or caller array.  Tapes live in a per-thread cache of at most
+TAPE_KEYS keys, the least recently used evicted first, so no state is
+shared between threads.  A block replays only when it runs through this
+module's own driver, run_levels and numpy, with a plain TrigTable and a
+step table whose items are those entry_points bound, and its tape is
+not busy: a tracer or a test that wraps or patches one of them sees
+every call.  The counted helpers and counting.place, which every bare
+write of the step functions and drivers goes through, feed the
+recorder.
 
 Input contract of the public transforms: one signal as a 1-D array, or
 independent signals as the columns of a 2-D array, of a numeric dtype
@@ -158,8 +173,11 @@ out itself.
 """
 
 import threading
+import weakref
+from array import array
 from collections import namedtuple
 from functools import lru_cache
+from itertools import islice
 
 import numpy as np
 
@@ -328,12 +346,12 @@ def complex_spectrum(z, N, steps, table, counter, out=None):
     """
     cols = z.shape[1]
     cdtype = _complex_of(table.dtype)
-    keep = z.dtype == cdtype and (cols == 1 or z.strides[1] == z.itemsize)
+    x = _complex_columns(z, cdtype)
+    own, x = x is not z, [x.view(table.dtype)]  # no local holds a copy through the recursions
     m = N // 2
     view = None if out is None else out.view(table.dtype)
-    spec_c, spec_s = _real_spectra(
-        [(z if keep else np.ascontiguousarray(z, cdtype)).view(table.dtype)], N, steps, table,
-        counter, None if view is None else view[:m + 1], None, not keep)
+    spec_c, spec_s = _real_spectra(x, N, steps, table, counter,
+                                   None if view is None else view[:m + 1], None, own)
     if view is None:
         out = np.empty((N, cols), cdtype)
         view = out.view(table.dtype)
@@ -354,6 +372,14 @@ def complex_spectrum(z, N, steps, table, counter, out=None):
 
 def _complex_of(dtype):
     return np.complex64 if dtype == np.float32 else np.complex128
+
+
+def _complex_columns(z, cdtype):
+    """z, or a contiguous copy in cdtype when z is of another dtype or its
+    columns are not adjacent in memory."""
+    if z.dtype == cdtype and (z.shape[1] == 1 or z.strides[1] == z.itemsize):
+        return z
+    return np.ascontiguousarray(z, cdtype)
 
 
 def half_spectrum(x, N, steps, table, counter, out=None):
@@ -432,154 +458,337 @@ def _in_blocks(x, dtype, run, *args):
     docstring gives the order of allocation.  The arguments are passed
     on rather than bound in a closure, which would stay allocated
     through every call.  Every ufunc runs with UFUNC_BUFSIZE, and the
-    caller's buffer size is restored on the way out.
+    caller's buffer size is restored on the way out.  Every block of a
+    wide call, and a one-block call of at most BLOCK_BYTES, runs through
+    _taped.
     """
     one = x.ndim == 1  # one signal: run as a free (n, 1) view, squeezed back
     x = x[:, None] if one else x
     rows, cols = x.shape
     itemsize = np.dtype(dtype).itemsize
     width = _block_width(rows, cols, itemsize)
+    key = _tape_key(run, args) if width < cols or rows * cols * itemsize <= BLOCK_BYTES else None
+    out = None
     bufsize = np.setbufsize(UFUNC_BUFSIZE)
     try:
-        if cols <= width and rows * cols * itemsize <= TAPE_BYTES:
-            first = _taped(x, dtype, run, args)
-        else:
-            first = run(x[:, :width], *args, None)
-        if cols <= width:
-            return first[:, 0] if one else first
-        out = np.empty((first.shape[0], cols), first.dtype)
-        out[:, :width] = first
-        first = None
-        for c0 in range(width, cols, width):
-            run(x[:, c0:c0 + width], *args, out[:, c0:c0 + width])
-        return out
+        for c0 in range(0, cols, width):
+            block = x if cols <= width else x[:, c0:c0 + width]
+            dest = None if out is None else out[:, c0:c0 + width]
+            got = (run(block, *args, dest) if key is None else
+                   _taped(block, run, args, (*key, block.shape, cols <= width), dest, cols))
+            if out is None and got.shape[1] < cols:  # the first block's own output
+                out = np.empty((got.shape[0], cols), got.dtype)
+                out[:, :width] = got
+            out, got = got if out is None else out, None
+        return out[:, 0] if one else out
     finally:
         np.setbufsize(bufsize)
 
 
 # -- tapes --------------------------------------------------------------------
 
-# A one-block call of at most TAPE_BYTES of working input replays a tape;
-# the module docstring says when.  A replay gains less as its block grows,
-# while the arena it holds between calls, about 2.3 times the input,
-# grows with it: replay over plain call time (median of 10 per shape, both
-# algorithms, float64 cdft and rdft, one column at N = 4096..65536 and
-# 16..256 columns at N = 256, 2-vCPU Xeon) read 0.50-0.66 up to 64 KiB,
-# 0.65-0.76 at 128 KiB, 0.64-0.86 at 256 KiB and 0.79-0.94 at 512 KiB and
-# 1 MiB, but for cdft at 256 columns (0.58).  At 64 KiB every one-signal
-# call up to N = 4096 is taped, and a tape holds at most 148 KiB
-TAPE_BYTES = 64 << 10
-# per thread: the keys marked by a first call and the keys with a tape,
-# least recently used evicted first, and the bytes the tapes' arenas hold.
-# The 32 one-signal float64 calls of both algorithms, all four transforms
-# and N = 64..4096 hold 805 KiB of arenas together
+# Per thread: at most TAPE_KEYS keys, each marked by a first block or
+# holding a tape, the least recently used evicted first, and one arena of
+# at most TAPE_HELD_BYTES, which every tape that fits binds to once and
+# keeps between calls.  A tape of a batch-sized block, 1 MiB of input,
+# needs 1.31-1.32 MiB, and a one-signal float64 tape up to N = 4096 at
+# most 192 KiB (1.04 MiB for the 32 of both algorithms, all four
+# transforms and N = 64..4096), so one arena serves them all
 TAPE_KEYS = 256
 TAPE_HELD_BYTES = 2 << 20
 _TAPES = threading.local()
+# id of a step table entry_points bound -> (that table, its items then)
+_BOUND = {}
 
 
-def _taped(x, dtype, run, args):
-    """run(x, *args, None) for one small block, replayed from this thread's tape.
-
-    A block replays only when it runs through this module's own driver,
-    run_levels and numpy, with a plain TrigTable, and its tape is not
-    busy, as in a call from inside its own replay; a wrapped or patched
-    one runs plain.
-    """
+def _tape_key(run, args):
+    """What fixes the schedule of run's blocks but their shape, or None when
+    they run plain: through a wrapped or patched driver, run_levels,
+    numpy, TrigTable or step table."""
     *head, steps, table, counter = args
-    if not (run in _DRIVERS and run_levels is _RUN_LEVELS and np is _NUMPY
-            and type(table) is TrigTable):
-        return run(x, *args, None)
-    key = (run, *head, tuple(steps.items()), x.shape, x.dtype, table.dtype, table.pipeline)
-    entries = _TAPES.__dict__.setdefault("entries", {})  # key -> tape, or None once marked
-    if key not in entries:  # a first call only marks its key
+    if (run in _DRIVERS and run_levels is _RUN_LEVELS and np is _NUMPY and type(table) is TrigTable
+            and _BOUND.get(id(steps)) == (steps, tuple(steps.items()))):
+        return run, *head, id(steps), table.dtype, table.pipeline
+
+
+def _taped(x, run, args, key, dest, cols):
+    """run(x, *args, dest) for one block of a call of cols columns, from
+    this thread's tape of key once there is one.
+
+    A key's first block runs plain and marks it, and its next one records,
+    unless it is the first block of a wide call, which has no dest; later
+    ones replay.  A tape is out of the cache while busy, as in a call from
+    inside its own recording, and so is the thread's arena.  A tape that
+    fits TAPE_HELD_BYTES binds to the thread's arena, which grows to fit
+    it and then drops the other tapes' views; any other binds an arena for
+    its block only.
+    """
+    state = _TAPES.__dict__
+    # key -> (tape, views bound to the thread's arena or None), None once marked
+    entries = state.setdefault("entries", {})
+    entry = entries.pop(key, False)
+    if entry is False or entry is None and dest is None and x.shape[1] < cols:
         entries[key] = None
         if len(entries) > TAPE_KEYS:
             del entries[next(iter(entries))]
-        return run(x, *args, None)
-    tape = entries.pop(key)  # out of the cache while busy
-    if tape is None:
-        tape = _record(x, dtype, run, head, steps, table)
-        held = sum(t.arena.nbytes for t in entries.values() if t is not None)
-        while entries and held + tape.arena.nbytes > TAPE_HELD_BYTES:
-            old = entries.pop(next(iter(entries)))
-            held -= 0 if old is None else old.arena.nbytes
-    out = _replay(tape, x, table, counter)
-    entries[key] = tape  # the most recently used go last
+        return run(x, *args, dest)
+    *head, steps, table, counter = args
+    if entry is None:
+        (out, tape), own = _record(x, run, head, steps, table, dest), True
+    else:
+        tape, kept = entry
+        own = tape.held > TAPE_HELD_BYTES  # an arena for this block only
+        arena = np.empty(tape.arena, np.uint8) if own else state.pop("arena", None)
+        if not own and (arena is None or arena.nbytes < tape.held):
+            arena = np.empty(tape.held, np.uint8)
+            entries.update({k: (e[0], None) for k, e in entries.items() if e})
+        if kept is None or kept.arena is not arena:
+            kept = _bind(tape, arena, table.dtype, not own and tape.out is not None)
+        out = _replay(kept, tape, _root(run, x, table), table.dtype, dest, cols)
+        if not own:
+            state["arena"] = arena
+    counter.adds += tape.adds
+    counter.muls += tape.muls
+    table._log.update(tape.log)
+    entries[key] = tape, None if own else kept  # the most recently used go last
     return out
+
+
+def _root(run, x, table):
+    """The block x as run reads it: cdft's complex columns, which it
+    copies where _complex_columns says."""
+    return _complex_columns(x, _complex_of(table.dtype)) if run is complex_spectrum else x
 
 
 def _owner(a):
     return a if a.base is None else a.base  # NumPy points every view at the owner
 
 
-def _address(a):
-    return a.__array_interface__["data"][0]
-
-
-def _record(x, dtype, run, head, steps, table):
-    """Tape of a plain run of the block x, recorded on a copy of it.
+def _record(x, run, head, steps, table, dest):
+    """(output, tape) of a plain run of the block x into dest that records its ops.
 
     The run charges a counter and logs into a table of its own, whose
-    counts and log the tape keeps.  Every buffer the run writes is packed
-    into one arena by the interval of tape ops from its first to its last
-    use, largest first, each at the lowest offset where it shares no byte
-    with a buffer whose interval meets its own.  The root's interval opens
-    before the first op, for the copy in, and the output's closes after
-    the last, for the copy out.
+    counts and log the tape keeps, and reads the root _root makes, so
+    that the recorder knows the root's views; a root whose rows share
+    bytes, as a broadcast one's, is copied first, as no index names them.
     """
+    root = _root(run, x, table)
+    if root.shape[0] > 1 and not root.strides[0]:
+        root = np.ascontiguousarray(root)
     rec, log = OpCounter(), TrigTable(table.dtype, table.pipeline)
-    rec.tape = []
-    root = np.array(x, dtype, order="C")  # a copy of its own
-    out = run(root, *head, steps, log, rec, None)
-    ops = rec.tape
-    buffers = {id(root): root}  # what the block writes, by id
-    uses = [(-1, root, id(root))]  # (op, array operand, id of the buffer it views)
-    for i, (_, ins, o) in enumerate(ops):
-        buffers.setdefault(id(_owner(o)), _owner(o))
-        uses += [(i, a, id(_owner(a))) for a in (*ins, o) if isinstance(a, np.ndarray)]
-    uses.append((len(ops), out, id(_owner(out))))
-    first, last = {}, {}
-    for i, _, k in uses:
-        if k in buffers:
-            first.setdefault(k, i)
-            last[k] = i
-    offsets, placed = {}, []
-    for k in sorted(first, key=lambda k: (-buffers[k].nbytes, first[k])):
-        size, off = -(-max(buffers[k].nbytes, 1) // 64) * 64, 0
-        for o0, o1 in sorted((o0, o1) for o0, o1, f, l in placed
-                             if f <= last[k] and first[k] <= l):
+    rec.tape = _Recorder(root.view(table.dtype), None if dest is None else dest.view(table.dtype))
+    out = run(root, *head, steps, log, rec, dest)
+    return out, rec.tape.finish(out, root.dtype, table.dtype, rec, log)
+
+
+# an operand a replay takes from the root (which 0) or the output (which 1)
+_At = namedtuple("_At", "which index")
+
+
+def _index(d, shape, strides, ref):
+    """The basic index of the 2-D ref that gives the view starting d bytes
+    past ref's first cell with this shape and strides; a 1-D view is a
+    row.  ref is a root, whose views span all its columns, or an output,
+    whose rows are outer and whose strides are positive."""
+    rs, cs = ref.strides
+    index = [d // rs if rs else 0]
+    index.append((d - index[0] * rs) // cs if cs else 0)
+    for axis, n, s in zip((0, 1)[2 - len(shape):], shape, strides):
+        step = s // (rs, cs)[axis] if n > 1 and s else 1
+        stop = index[axis] + n * step
+        index[axis] = slice(index[axis], stop if stop >= 0 else None, step)
+    return tuple(index)
+
+
+class _Owner(weakref.ref):
+    """A weak reference to a buffer of a recording run, with its key in
+    the recorder's owners, its serial and its address."""
+
+    __slots__ = ("key", "serial", "address")
+
+
+class _Recorder:
+    """The tape list of a recording counter.
+
+    Each op the counted helpers and place append goes into code as ints,
+    each zigzagged into 7-bit groups, low first: the op's place in
+    _FUNCTIONS plus 8 times its operand count, then its operands.  A view
+    of the root or dest (an _At) or a read-only constant is one int, -1 -
+    its index in objects; a view of a buffer the run owns is 8 times the
+    buffer's serial plus 2 times its ndim, plus 1 when its shape is that
+    of the op's view before it, then its byte offset in the buffer, its
+    shape unless that one's, and its strides.  Buffers are known by weak
+    reference only, so each is freed when the plain run frees it.  spans
+    holds each one's bytes and first and last op.
+    """
+
+    def __init__(self, root, dest):
+        self.root, self.refs = root, {id(_owner(r)): (w, r, r.ctypes.data)
+                                      for w, r in enumerate((root, dest)) if r is not None}
+        self.code, self.objects, self.owners, self.ops = bytearray(), [], {}, 0
+        self.spans = array("q")
+
+    def append(self, op):
+        fn, ins, out = op
+        if not out.size:  # writes nothing
+            return
+        record, shape = [_FUNCTIONS.index(fn) + 8 * (len(ins) + 1)], None
+        for a in (*ins, out):
+            owner = _owner(a) if isinstance(a, np.ndarray) else None
+            ref = self.refs.get(id(owner))
+            if ref is not None:
+                a = _At(ref[0], _index(a.ctypes.data - ref[2], a.shape, a.strides, ref[1]))
+            elif owner is not None and a.flags.writeable:
+                ref = self.owners.get(id(owner))
+                if ref is None:  # a buffer's first use
+                    ref = self.owners[id(owner)] = _Owner(owner, self._gone)
+                    ref.key, ref.serial = id(owner), len(self.spans) // 3
+                    ref.address = owner.ctypes.data
+                    self.spans.extend((owner.nbytes, self.ops, self.ops))
+                self.spans[3 * ref.serial + 2] = self.ops
+                same, shape = a.shape == shape, a.shape
+                record += 8 * ref.serial + 2 * a.ndim + same, a.ctypes.data - ref.address
+                record += a.strides if same else a.shape + a.strides
+                continue
+            record.append(-1 - len(self.objects))
+            self.objects.append(a)
+        for v in record:
+            v = 2 * v if v >= 0 else -2 * v - 1
+            while v > 127:
+                self.code.append(v & 127 | 128)
+                v >>= 7
+            self.code.append(v)
+        self.ops += 1
+
+    def _gone(self, ref):
+        if self.owners.get(ref.key) is ref:
+            del self.owners[ref.key]
+
+    def finish(self, out, dtype, table_dtype, counter, log):
+        """The tape of the run that returned out, its block's output, whose
+        root it read in dtype and whose ops ran in table_dtype.
+
+        An output the run allocated is a buffer of the tape's, which a
+        replay copies out after the last op; such a tape also holds the
+        bytes of a region for the root after its buffers.
+        """
+        ref, view = self.owners.get(id(_owner(out))), out.view(table_dtype)
+        if ref is not None:  # the output is read after the last op
+            self.spans[3 * ref.serial + 2] = self.ops
+            ref = ref.serial, view.ctypes.data - ref.address, view.shape, view.strides
+        offsets, arena = _pack(self.spans)
+        return _Tape(self.code, self.objects, offsets, arena,
+                     arena + (self.root.nbytes if ref else 0), (self.root.shape, dtype), ref,
+                     out.shape[0], out.dtype, counter.adds, counter.muls, log._log)
+
+
+def _pack(spans):
+    """(offset of each buffer in an arena, the arena's bytes), for the
+    (bytes, first op, last op) of each buffer in spans.
+
+    The buffers are placed largest first, each at the lowest offset where
+    it shares no byte with a buffer whose interval of ops meets its own,
+    so that no op's operands share bytes they did not share in the plain
+    run.
+    """
+    offsets, placed = array("q", spans[::3]), [(0, 0, 0, 0)]
+    for k in sorted(range(len(offsets)), key=lambda k: (-spans[3 * k], spans[3 * k + 1])):
+        size, first, last = spans[3 * k:3 * k + 3]
+        size, off = -(-max(size, 1) // 64) * 64, 0
+        for o0, o1 in sorted((o0, o1) for o0, o1, f, l in placed if f <= last and first <= l):
             if off + size <= o0:
                 break
             off = max(off, o1)
-        placed.append((off, off + size, first[k], last[k]))
-        offsets[k] = off - _address(buffers[k])
-    arena = np.empty(max(o1 for _, o1, _, _ in placed), np.uint8)
-    # each operand rebound to the arena; scalars and the shared cache's
-    # read-only constants are kept as they are
-    views = {i: np.ndarray(a.shape, a.dtype, arena, offsets[k] + _address(a), a.strides)
-             for i, (a, k) in {id(a): (a, k) for _, a, k in uses}.items() if k in offsets}
-    calls = []
-    for ufunc, ins, o in ops:
-        ins, o = [views.get(id(a), a) for a in ins], views[id(o)]
-        calls.append((o.__setitem__, (Ellipsis, *ins)) if ufunc is None else (ufunc, (*ins, o)))
-    return _Tape(calls, views[id(root)], views[id(out)], rec.adds, rec.muls, log._log, arena)
+        placed.append((off, off + size, first, last))
+        offsets[k] = off
+    return offsets, max(o1 for _, o1, _, _ in placed)
 
 
-# a block's recorded calls, bound to views of the one arena it owns
-_Tape = namedtuple("_Tape", "calls root out adds muls log arena")
+# what an op may call: the counted helpers' ufuncs, and place's copy
+# (None) and sign flip
+_FUNCTIONS = (None, np.add, np.subtract, np.multiply, np.negative)
+# a block's recorded ops, in the recorder's code, with each buffer's
+# offset in an arena; the bytes of the arena, and those it holds when
+# bound with the root's region after its buffers, as a one-block tape is
+# when kept; the root's shape in the table's dtype and the block's dtype;
+# the (buffer, offset, shape, strides) of a one-block tape's output in
+# the table's dtype, or None; the output's rows and dtype, and the counts
+# and lookups of the run
+_Tape = namedtuple("_Tape", "code objects offsets arena held root out rows dtype adds muls log")
+# a tape's ops bound to views of an arena, in segments: the calls up to an
+# op that takes an operand from the root or the output, then that op as
+# (function, operands, (position, which, index) of each such operand);
+# the root's region or None, and a one-block tape's output or None
+_Bound = namedtuple("_Bound", "arena segments root out")
 
 
-def _replay(tape, x, table, counter):
-    """A fresh output of the block x from its tape, whose counts and
-    lookups go to the caller's counter and table."""
-    tape.root[...] = x
-    for fn, args in tape.calls:
-        fn(*args)
-    counter.adds += tape.adds
-    counter.muls += tape.muls
-    table._log.update(tape.log)
-    return tape.out.copy()
+def _copy(x, out):
+    out[...] = x
+
+
+def _ints(code):
+    """The ints a recorder wrote into code."""
+    v = shift = 0
+    for b in code:
+        v, shift = v | (b & 127) << shift, shift + 7
+        if b < 128:
+            yield v >> 1 ^ -(v & 1)
+            v = shift = 0
+
+
+def _bind(tape, arena, dtype, region):
+    """The tape's ops bound to views of arena, in dtype, the table's.
+    When region, the ops' views of the root are views of a region after
+    the tape's buffers, into which a replay copies its block."""
+    root = np.ndarray(tape.root[0], dtype, arena, tape.arena) if region else None
+    calls, segments, ints, out = [], [], _ints(tape.code), None
+    for header in ints:
+        args, shape = [], None
+        for _ in range(header // 8):
+            tag = next(ints)
+            if tag < 0:
+                a = tape.objects[-1 - tag]
+                args.append(root[a.index] if region and type(a) is _At and not a.which else a)
+                continue
+            n, offset = tag % 8 // 2, tape.offsets[tag // 8] + next(ints)
+            shape = shape if tag % 2 else tuple(islice(ints, n))
+            args.append(np.ndarray(shape, dtype, arena, offset, tuple(islice(ints, n))))
+        fn = _FUNCTIONS[header % 8]
+        ats = [(p, a.which, a.index) for p, a in enumerate(args) if type(a) is _At]
+        if ats:
+            segments.append((calls, (fn or _copy, args, ats)))
+            calls = []
+        else:  # a copy binds out.__setitem__
+            calls.append((fn, tuple(args)) if fn
+                         else (args[-1].__setitem__, (Ellipsis, *args[:-1])))
+    segments.append((calls, None))
+    if tape.out is not None:
+        serial, offset, shape, strides = tape.out
+        out = np.ndarray(shape, dtype, arena, tape.offsets[serial] + offset, strides)
+        out = out.view(tape.dtype)
+    return _Bound(arena, segments, None if root is None else root.view(tape.root[1]), out)
+
+
+def _replay(bound, tape, x, dtype, dest, cols):
+    """The output of the block x, as run reads it, from the bound ops: a
+    one-block tape's, copied out of the arena, or dest, or a new output of
+    cols columns for the first block of a wide call, which the ops write
+    into; dtype is the table's."""
+    if bound.root is not None:
+        bound.root[...] = x
+    if tape.out is None and dest is None:
+        dest = np.empty((tape.rows, cols), tape.dtype)
+    refs = x.view(dtype), None if dest is None else dest[:, :x.shape[1]].view(dtype)
+    for calls, patch in bound.segments:
+        for fn, args in calls:
+            fn(*args)
+        if patch is not None:
+            fn, args, ats = patch
+            args = args.copy()
+            for p, which, index in ats:
+                args[p] = refs[which][index]
+            fn(*args)
+    return dest if tape.out is None else bound.out.copy()
 
 
 # -- public entry points ----------------------------------------------------
@@ -620,6 +829,7 @@ def entry_points(module, steps):
     recursions apart.
     """
     algorithm = module.rpartition(".")[2].capitalize()
+    _BOUND[id(steps)] = steps, tuple(steps.items())
 
     def cdft(values, table=None, counter=None):
         """complex DFT, reported for k = 0..N-1."""

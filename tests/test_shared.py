@@ -125,11 +125,13 @@ def in_fresh_thread(fn, *args):
 
 
 def call_peak(fn, x):
-    """tracemalloc peak of one plain call of fn on x with a float64 table, in bytes.
+    """tracemalloc peak of a first call of fn on x with a float64 table, in bytes.
 
     The warm-up and the measured call each run first in a fresh thread, so
-    neither replays a tape: a replay would not build the constants, and a
-    tape would not measure the recursion.
+    a one-block call runs plain: a replay would not build the constants,
+    and a tape would not measure the recursion.  A wide call's first block
+    runs plain too, its second records and the later ones replay, so its
+    peak is the largest of the three.
     """
     table = TrigTable(dtype=np.float64)
     in_fresh_thread(fn, x[:, :1], table)  # constants are built once, outside the measurement

@@ -1,9 +1,10 @@
-"""Tapes: small one-block calls replayed from a per-thread list of NumPy calls.
+"""Tapes: column blocks replayed from a per-thread list of NumPy calls.
 
-A thread's first call of a key runs plain and marks the key, its second
-records the tape and its later calls replay it.  Every test runs its
-taped calls in a fresh thread, whose cache starts empty, and compares
-each call with a plain run: the same bits, counts and constant footprint.
+A thread's first block of a key runs plain and marks the key, its second
+records the tape and its later blocks replay it, in one call or across
+calls.  Every test runs its taped calls in a fresh thread, whose cache
+starts empty, and compares each call with a plain run: the same bits,
+counts and constant footprint.
 """
 
 import sys
@@ -13,7 +14,8 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
-from test_shared import ENTRY_POINTS, LAYOUTS, MODULES, in_fresh_thread, signals, traced_peak
+from test_shared import (ENTRY_POINTS, LAYOUTS, MODULES, WIDE_SHAPES, in_fresh_thread, signals,
+                         traced_peak)
 
 from quickfourier import improved, shared
 from quickfourier.counting import OpCounter, TrigTable
@@ -27,19 +29,34 @@ def outcome(fn, x, dtype):
 
 
 def plain(fn, x, dtype, monkeypatch):
-    """outcome of a call that no tape can serve."""
+    """outcome of a call that no tape can serve: every block runs plain."""
     with monkeypatch.context() as m:
-        m.setattr(shared, "TAPE_BYTES", -1)
+        m.setattr(shared, "_tape_key", lambda run, args: None)
         return outcome(fn, x, dtype)
 
 
 def entries():
-    """This thread's tape cache: key -> tape, or None for a key marked once."""
+    """This thread's tape cache: key -> (tape, arena kept bound or None),
+    or None for a key marked once."""
     return shared._TAPES.__dict__.get("entries", {})
 
 
 def tapes():
-    return [t for t in entries().values() if t is not None]
+    return [e[0] for e in entries().values() if e is not None]
+
+
+def held_bytes():
+    """Bytes of the arenas this thread keeps between calls: its one arena
+    and any that a tape's views still hold."""
+    arenas = [shared._TAPES.__dict__.get("arena")] + [e[1].arena for e in entries().values()
+                                                      if e and e[1]]
+    return sum({id(a): a.nbytes for a in arenas if a is not None}.values())
+
+
+def blocks(monkeypatch, rows, itemsize, width):
+    """Make calls of rows-by-itemsize samples run in blocks of width columns."""
+    monkeypatch.setattr(shared, "BLOCK_BYTES", width * rows * itemsize)
+    monkeypatch.setattr(shared, "MIN_BLOCK_ROW_BYTES", 1)
 
 
 def in_turn(fn, inputs, dtype):
@@ -56,7 +73,7 @@ def test_calls_one_to_three_and_fresh_input_match_a_plain_run(algorithm, transfo
                                                                ndim, monkeypatch):
     # call 1 runs plain, call 2 records, call 3 and a call on new samples
     # replay: each must be bitwise a plain run, with its counts and
-    # constants; a narrow 2-D block above TAPE_BYTES is never taped
+    # constants; every one-block call of at most BLOCK_BYTES is taped
     fn = getattr(MODULES[algorithm], transform)
     for lg in range(2, 13):
         x, fresh = (signals(transform, 1 << lg, 3, dtype, seed) for seed in (lg, lg + 50))
@@ -65,16 +82,38 @@ def test_calls_one_to_three_and_fresh_input_match_a_plain_run(algorithm, transfo
         want = [plain(fn, v, dtype, monkeypatch) for v in (x, x, x, fresh)]
         got, held = in_turn(fn, [x, x, x, fresh], dtype)
         assert got == want, lg
-        assert held == (x.nbytes <= shared.TAPE_BYTES), lg
+        assert held == 1, lg
+
+
+@pytest.mark.parametrize("layout", sorted(LAYOUTS))
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("algorithm,transform", ENTRY_POINTS)
+def test_wide_calls_one_to_three_and_fresh_input_match_a_plain_run(algorithm, transform, dtype,
+                                                                    layout, monkeypatch):
+    # eleven columns in blocks of 3, 3, 3 and 2: within call 1 the first
+    # block of each width marks, the second of width 3 records and the
+    # third replays; call 2 records width 2, and later calls replay every
+    # block.  Each call must be bitwise a plain run, counts and constants
+    # too, whatever the layout, and leave one tape per width
+    fn = getattr(MODULES[algorithm], transform)
+    x, fresh = (LAYOUTS[layout](signals(transform, 64, 33, dtype, seed))[:, :11]
+                for seed in (12, 13))
+    itemsize = np.dtype(shared._complex_of(dtype) if transform == "cdft" else dtype).itemsize
+    blocks(monkeypatch, x.shape[0], itemsize, 3)
+    assert shared._block_width(x.shape[0], 11, itemsize) == 3
+    want = [plain(fn, v, dtype, monkeypatch) for v in (x, x, x, fresh)]
+    got, held = in_turn(fn, [x, x, x, fresh], dtype)
+    assert got == want
+    assert held == 2
 
 
 @pytest.mark.parametrize("algorithm", sorted(MODULES))
 @pytest.mark.parametrize("transform,N,cols,dtype", [
-    ("rdft", 256, 32, np.float64), ("rdft", 256, 33, np.float64),
-    ("cdft", 4096, None, np.float64), ("cdft", 8192, None, np.float64),
-    ("dst0", 4096, 8, np.float32), ("dst0", 4096, 9, np.float32)])
+    ("rdft", 256, 512, np.float64), ("rdft", 256, 513, np.float64),
+    ("cdft", 65536, None, np.float64), ("cdft", 131072, None, np.float64),
+    ("dst0", 8192, 64, np.float32), ("dst0", 8192, 65, np.float32)])
 def test_the_byte_bound_is_inclusive(algorithm, transform, N, cols, dtype, monkeypatch):
-    # a block of TAPE_BYTES of working input is taped, twice that or one
+    # a block of BLOCK_BYTES of working input is taped, twice that or one
     # column more is not, and each gives the bits of a plain run
     fn = getattr(MODULES[algorithm], transform)
     x = signals(transform, N, cols or 1, dtype, 3)
@@ -82,7 +121,7 @@ def test_the_byte_bound_is_inclusive(algorithm, transform, N, cols, dtype, monke
     want = plain(fn, x, dtype, monkeypatch)
     got, held = in_turn(fn, [x] * 3, dtype)
     assert got == [want] * 3
-    assert held == (x.nbytes <= shared.TAPE_BYTES)
+    assert held == (x.nbytes <= shared.BLOCK_BYTES)
 
 
 @pytest.mark.parametrize("layout", sorted(LAYOUTS))
@@ -196,13 +235,22 @@ def test_a_patched_scheduler_sees_every_call(patched, monkeypatch):
     assert spy.calls >= {"run_levels": 10, "half_spectrum": 5, "np": 10}[patched]
 
 
-def test_the_cache_holds_no_more_than_its_bounds(monkeypatch):
-    # held arena bytes and keys stay within their bounds, the least
-    # recently used evicted first, and an evicted key records afresh
-    monkeypatch.setattr(shared, "TAPE_HELD_BYTES", 100 << 10)  # above any one tape here
-    monkeypatch.setattr(shared, "TAPE_KEYS", 6)
-    calls = [(getattr(MODULES[m], t), signals(t, N, 1, np.float64, N)[:, 0])
-             for m in sorted(MODULES) for t in ("rdft", "dct0") for N in (64, 1024, 4096)]
+CACHE_CASES = {
+    # held bytes above any one tape here, and fewer keys than calls: the
+    # least recently used are evicted, and an evicted key records afresh
+    "evicting": (100 << 10, 6, [(getattr(MODULES[m], t), t, N) for m in sorted(MODULES)
+                                for t in ("rdft", "dct0") for N in (64, 1024, 4096)]),
+    # held bytes below one tape: its arena is bound for each block only
+    "below_one_tape": (1024, 256, [(improved.cdft, "cdft", 4096)]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CACHE_CASES))
+def test_the_cache_holds_no_more_than_its_bounds(case, monkeypatch):
+    held_bound, keys, calls = CACHE_CASES[case]
+    monkeypatch.setattr(shared, "TAPE_HELD_BYTES", held_bound)
+    monkeypatch.setattr(shared, "TAPE_KEYS", keys)
+    calls = [(fn, signals(t, N, 1, np.float64, N)[:, 0]) for fn, t, N in calls]
     want = [plain(fn, x, np.float64, monkeypatch) for fn, x in calls]
 
     def run():
@@ -211,88 +259,202 @@ def test_the_cache_holds_no_more_than_its_bounds(monkeypatch):
             for (fn, x), w in zip(calls, want):
                 for _ in range(3):
                     seen.append(outcome(fn, x, np.float64) == w)
-                    held = sum(t.arena.nbytes for t in tapes())
-                    assert held <= shared.TAPE_HELD_BYTES
+                    assert held_bytes() <= shared.TAPE_HELD_BYTES
                     assert len(entries()) <= shared.TAPE_KEYS
         return seen
 
     assert all(in_fresh_thread(run))
 
 
+def test_a_table_patched_after_binding_runs_plain():
+    # a profiler that wraps the steps of a table entry_points has bound
+    # must see every call: only a table whose items are still those bound
+    # replays.  dct0 at N = 64 runs nine forward steps a call
+    steps = dict(improved.STEPS)
+    dct0 = shared.entry_points(__name__, steps)[2]
+    ran = []
+    for t, step in improved.STEPS.items():
+        def forward(x, N, table, counter, outs, forward=step.forward):
+            ran.append(N)
+            forward(x, N, table, counter, outs)
+
+        steps[t] = step._replace(forward=forward)
+    x = signals("dct0", 64, 1, np.float64, 5)[:, 0]
+    want = improved.dct0(x).tobytes()
+
+    def run():
+        logged = []
+        for _ in range(5):
+            ran.clear()
+            assert dct0(x).tobytes() == want
+            logged.append(len(ran))
+        return logged, len(tapes())
+
+    assert in_fresh_thread(run) == ([9] * 5, 0)
+
+
 @pytest.mark.parametrize("algorithm,transform", ENTRY_POINTS)
 def test_a_tape_holds_no_table_counter_or_caller_array(algorithm, transform):
-    # a tape binds its views to its own arena; beside them it holds only
-    # scalars and the shared cache's read-only constants.  A writable
-    # array outside the arena would be one the recorder did not see
-    # written, whose values the tape would replay as they were
+    # a tape and the arena it keeps bound hold views of that arena, and
+    # beside them only scalars and the shared cache's read-only constants.
+    # A writable array outside the arena would be one the recorder did not
+    # see written, whose values a replay would read as they were
     x = signals(transform, 256, 2, np.float64, 8)
     fn = getattr(MODULES[algorithm], transform)
 
     def run():
         table, counter = TrigTable(), OpCounter()
-        for _ in range(2):
+        for _ in range(3):
             fn(x, table=table, counter=counter)
-        (tape,) = tapes()
-        held = [a for _, args in tape.calls for a in args]
-        return tape, held, table, counter
+        ((tape, bound),) = [e for e in entries().values() if e]
+        held = [a for calls, _ in bound.segments for _, args in calls for a in args]
+        held += [fn.__self__ for calls, _ in bound.segments for fn, _ in calls
+                 if hasattr(fn, "__self__")]
+        return tape, bound, held + [bound.root, bound.out, *tape.objects], table, counter
 
-    tape, held, table, counter = in_fresh_thread(run)
+    tape, bound, held, table, counter = in_fresh_thread(run)
+    assert all(len(calls) and patch is None for calls, patch in bound.segments[-1:])
     arrays = [a for a in held if isinstance(a, np.ndarray)]
-    assert all(a.base is tape.arena or not a.flags.writeable for a in arrays)
+    assert all(a.base is bound.arena or not a.flags.writeable for a in arrays)
     assert not any(np.shares_memory(a, x) for a in arrays)
     assert not any(a is table or a is counter for a in held)
     assert not any(isinstance(v, (TrigTable, OpCounter)) for v in tape)
 
 
-# peaks over a plain call's, in fresh threads at (4096, 1): recording holds
-# every buffer of the plain run it records, and a view per operand, until
-# the arena is packed, 14.4-17.9 times a plain call's peak on CPython 3.11;
-# a replay allocates only its output, 0.43-0.50.  The margins leave room
-# for other builds' object sizes
-RECORD_PEAK_BOUND = 24
+# peaks over a plain call's, in fresh threads.  At (4096, 1): recording
+# turns each operand into a few ints as it comes and holds no buffer of
+# the run it records, 1.10-1.21 times a plain call's peak on CPython
+# 3.11; the next call allocates the thread's arena and binds the tape to
+# it, with a view per operand, 2.7-3.6 times; later replays allocate only
+# their output, 0.43-0.50.  At WIDE_SHAPES, the first call records one
+# block and binds the thread's arena for its later blocks, 1.02-1.05
+# times, and the next call, whose blocks all replay, 0.87-0.89 times.
+# The margins leave room for other builds' object sizes
+RECORD_PEAK_BOUND = 1.3
+BIND_PEAK_BOUND = 4
 REPLAY_PEAK_BOUND = 0.6
 
 
+@pytest.mark.parametrize("wide", [False, True])
 @pytest.mark.parametrize("transform", ["cdft", "rdft"])
 @pytest.mark.parametrize("algorithm", sorted(MODULES))
-def test_peaks_of_recording_and_replay(algorithm, transform):
+def test_peaks_of_recording_and_replay(algorithm, transform, wide, monkeypatch):
     fn = getattr(MODULES[algorithm], transform)
-    x = signals(transform, 4096, 1, np.float64, 7)
+    x = signals(transform, *(WIDE_SHAPES[transform] if wide else (4096, 1)), np.float64, 7)
     table = TrigTable()
-    in_fresh_thread(fn, x, table)  # constants are built once, outside the measurement
+    in_fresh_thread(fn, x[:, :1], table)  # constants are built once, outside the measurement
+
+    def run(calls):
+        tracemalloc.start()
+        try:
+            return [traced_peak(fn, x, table)[0] for _ in range(calls)]
+        finally:
+            tracemalloc.stop()
+
+    if wide:
+        with monkeypatch.context() as m:
+            m.setattr(shared, "_tape_key", lambda run, args: None)
+            (first,) = in_fresh_thread(run, 1)
+        recording, replay = in_fresh_thread(run, 2)
+        assert recording <= RECORD_PEAK_BOUND * first
+        assert replay <= first
+        return
+    first, recording, binding, replay = in_fresh_thread(run, 4)
+    assert recording <= RECORD_PEAK_BOUND * first
+    assert binding <= BIND_PEAK_BOUND * first
+    assert replay <= REPLAY_PEAK_BOUND * first
+
+
+def cache_bytes(o, seen):
+    """Bytes of the objects a cache entry holds: array views and Python
+    objects, but not the arrays that own their data."""
+    if callable(o) and not isinstance(getattr(o, "__self__", None), np.ndarray):
+        return 0
+    o = getattr(o, "__self__", o)  # a copy's bound method holds its view
+    if id(o) in seen or isinstance(o, np.ndarray) and o.base is None:
+        return 0
+    seen.add(id(o))
+    inner = o.items() if isinstance(o, dict) else o if isinstance(o, (tuple, list, frozenset)) \
+        else (o.start, o.stop, o.step) if isinstance(o, slice) else ()
+    return sys.getsizeof(o) + sum(cache_bytes(v, seen) for v in inner)
+
+
+@pytest.mark.parametrize("kept", [True, False])
+@pytest.mark.parametrize("transform", sorted(WIDE_SHAPES))
+@pytest.mark.parametrize("algorithm", sorted(MODULES))
+def test_a_wide_call_leaves_its_output_op_descriptors_and_one_arena(algorithm, transform, kept,
+                                                                    monkeypatch):
+    # a wide call's tape binds the thread's one arena, which stays between
+    # calls, when it fits TAPE_HELD_BYTES, and an arena for each block only
+    # when it does not: tracemalloc's current bytes grow by the output,
+    # the cache's op descriptors and views and the arena kept, on the call
+    # that records as on the next
+    if not kept:
+        monkeypatch.setattr(shared, "TAPE_HELD_BYTES", 0)
+    fn = getattr(MODULES[algorithm], transform)
+    x = signals(transform, *WIDE_SHAPES[transform], np.float64, 7)
+    table = TrigTable()
+    in_fresh_thread(fn, x[:, :1], table)
 
     def run():
         tracemalloc.start()
         try:
-            return [traced_peak(fn, x, table)[0] for _ in range(3)]
+            grown = []
+            for _ in range(2):
+                before = tracemalloc.get_traced_memory()[0]
+                out = fn(x, table=table)
+                grown.append(tracemalloc.get_traced_memory()[0] - before - out.nbytes)
+                out = None
+            return grown, held_bytes(), cache_bytes(entries(), set())
         finally:
             tracemalloc.stop()
 
-    first, recording, replay = in_fresh_thread(run)
-    assert recording <= RECORD_PEAK_BOUND * first
-    assert replay <= REPLAY_PEAK_BOUND * first
+    (recording, replay), held, descriptors = in_fresh_thread(run)
+    assert (held > 0) == kept and held <= shared.TAPE_HELD_BYTES
+    assert recording <= descriptors + held
+    assert replay <= 1024
 
 
 DRIVERS = {"cdft": (shared.complex_spectrum, ()), "rdft": (shared.half_spectrum, ()),
            "dct0": (shared.one_recursion, ("dc_tt",)), "dst0": (shared.one_recursion, ("ds_tt",))}
 
 
+def bound_ops(bound, root, dest):
+    """(inputs, output) of each op of a bound tape, on root and dest."""
+    ops = []
+    for calls, patch in bound.segments:
+        for fn, args in calls:
+            copy = hasattr(fn, "__self__")  # a copy's bound out.__setitem__
+            ops.append((args[1:], fn.__self__) if copy else (args[:-1], args[-1]))
+        if patch is not None:
+            fn, args, ats = patch
+            args = list(args)
+            for p, which, index in ats:
+                args[p] = (root, dest)[which][index]
+            ops.append((args[:-1], args[-1]))
+    return ops
+
+
 @pytest.mark.parametrize("algorithm,transform", ENTRY_POINTS)
 def test_the_arena_shares_bytes_only_between_buffers_no_op_shares(algorithm, transform):
     # packing puts two buffers on the same bytes only when no op touches
     # both: each op's output overlaps an input in the arena exactly where
-    # it did in the plain run, so NumPy takes the same path on both
+    # it did in the plain run, so NumPy takes the same path on both, in an
+    # arena bound for one call as in one kept bound with its root region
     N, steps = 256, MODULES[algorithm].STEPS
     run, head = DRIVERS[transform]
     x = signals(transform, N, 2, np.float64, 9)
-    dtype = x.dtype
     recorded = OpCounter()
     recorded.tape = []
     run(x.copy(), *head, N, steps, TrigTable(), recorded, None)
-    tape = shared._record(x, dtype, run, (*head, N), steps, TrigTable())
-    assert len(tape.calls) == len(recorded.tape)
-    for (ufunc, ins, out), (fn, args) in zip(recorded.tape, tape.calls):
-        bound_ins, bound_out = (args[1:], fn.__self__) if ufunc is None else (args[:-1], args[-1])
-        overlaps = [isinstance(a, np.ndarray) and np.shares_memory(a, out) for a in ins]
-        assert overlaps == [isinstance(a, np.ndarray) and np.shares_memory(a, bound_out)
-                            for a in bound_ins]
+    plain_ops = [(ins, out) for _, ins, out in recorded.tape if out.size]
+    _, tape = shared._record(x, run, (*head, N), steps, TrigTable(), None)
+    root = shared._root(run, x, TrigTable()).view(np.float64)  # no op takes dest
+    for region in (False, True):
+        ops = bound_ops(shared._bind(tape, np.empty(tape.held, np.uint8), np.float64, region),
+                        root, None)
+        assert len(ops) == len(plain_ops)
+        for (ins, out), (bound_ins, bound_out) in zip(plain_ops, ops):
+            overlaps = [isinstance(a, np.ndarray) and np.shares_memory(a, out) for a in ins]
+            assert overlaps == [isinstance(a, np.ndarray) and np.shares_memory(a, bound_out)
+                                for a in bound_ins]
