@@ -134,11 +134,16 @@ views of their own.  A one-block tape's arena also holds a region for
 the block, which a replay copies in, and the output, which it copies
 out: at one-block sizes two copies cost less than a view of each such
 operand.  Each thread keeps one arena of at most TAPE_HELD_BYTES, which
-every tape that fits binds to once and keeps between calls; a larger
-tape binds an arena for its block only.  So a replayed call allocates
-its output and the views of its block and output: an 8 MiB wide call
-peaks at 1.003-1.005 times its input's bytes, beside the 1.3 MiB arena
-its thread keeps, and the call that records peaks at 1.18-1.19.  A
+every tape that fits binds to in the call that records it, once the
+run's own buffers are gone, and keeps between calls; when the arena
+grows, every tape bound to it is bound again at once, so that no replay
+allocates views.  A larger tape binds an arena for each block it
+replays.  So a replayed call allocates its output and the views of its
+block and output: an 8 MiB wide call peaks at 1.003-1.005 times its
+input's bytes, beside the 1.3 MiB arena its thread keeps, and the call
+that records and binds at 1.18-1.19.  At one column of N = 4096 the
+views of some 200 ops weigh more than the column's arrays, and that
+call peaks at 2.9-3.9 times a plain one.  A
 replay adds the recorded adds and muls to the caller's counter and the
 recorded lookups to the caller's table log; a tape holds no table,
 counter or caller array.  Tapes live in a per-thread cache of at most
@@ -519,9 +524,10 @@ def _taped(x, run, args, key, dest, cols):
     unless it is the first block of a wide call, which has no dest; later
     ones replay.  A tape is out of the cache while busy, as in a call from
     inside its own recording, and so is the thread's arena.  A tape that
-    fits TAPE_HELD_BYTES binds to the thread's arena, which grows to fit
-    it and then drops the other tapes' views; any other binds an arena for
-    its block only.
+    fits TAPE_HELD_BYTES binds to the thread's arena as soon as it is
+    recorded, so that no replay allocates views; the arena grows to fit
+    it and then drops the other tapes' views.  Any other tape binds an
+    arena for each block it replays.
     """
     state = _TAPES.__dict__
     # key -> (tape, views bound to the thread's arena or None), None once marked
@@ -533,20 +539,25 @@ def _taped(x, run, args, key, dest, cols):
             del entries[next(iter(entries))]
         return run(x, *args, dest)
     *head, steps, table, counter = args
-    if entry is None:
-        (out, tape), own = _record(x, run, head, steps, table, dest), True
+    if entry is None:  # bound below once the run's own buffers are gone
+        (out, tape), kept = _record(x, run, head, steps, table, dest), None
     else:
         tape, kept = entry
-        own = tape.held > TAPE_HELD_BYTES  # an arena for this block only
-        arena = np.empty(tape.arena, np.uint8) if own else state.pop("arena", None)
-        if not own and (arena is None or arena.nbytes < tape.held):
+    own = tape.held > TAPE_HELD_BYTES  # an arena for this block only
+    if not own:
+        arena = state.pop("arena", None)
+        if arena is None or arena.nbytes < tape.held:
             arena = np.empty(tape.held, np.uint8)
-            entries.update({k: (e[0], None) for k, e in entries.items() if e})
+            for k, e in entries.items():  # so that no replay binds
+                if e and e[1]:
+                    entries[k] = e[0], _bind(e[0], arena, e[0].out is not None)
         if kept is None or kept.arena is not arena:
-            kept = _bind(tape, arena, table.dtype, not own and tape.out is not None)
-        out = _replay(kept, tape, _root(run, x, table), table.dtype, dest, cols)
-        if not own:
-            state["arena"] = arena
+            kept = _bind(tape, arena, tape.out is not None)
+    if entry is not None:
+        use = _bind(tape, np.empty(tape.arena, np.uint8), False) if own else kept
+        out = _replay(use, tape, _root(run, x, table), table.dtype, dest, cols)
+    if not own:
+        state["arena"] = arena
     counter.adds += tape.adds
     counter.muls += tape.muls
     table._log.update(tape.log)
@@ -678,7 +689,7 @@ class _Recorder:
             ref = ref.serial, view.ctypes.data - ref.address, view.shape, view.strides
         offsets, arena = _pack(self.spans)
         return _Tape(self.code, self.objects, offsets, arena,
-                     arena + (self.root.nbytes if ref else 0), (self.root.shape, dtype), ref,
+                     arena + (self.root.nbytes if ref else 0), (self.root.shape, table_dtype, dtype), ref,
                      out.shape[0], out.dtype, counter.adds, counter.muls, log._log)
 
 
@@ -710,7 +721,7 @@ _FUNCTIONS = (None, np.add, np.subtract, np.multiply, np.negative)
 # a block's recorded ops, in the recorder's code, with each buffer's
 # offset in an arena; the bytes of the arena, and those it holds when
 # bound with the root's region after its buffers, as a one-block tape is
-# when kept; the root's shape in the table's dtype and the block's dtype;
+# when kept; the root's shape, the table's dtype and the block's dtype;
 # the (buffer, offset, shape, strides) of a one-block tape's output in
 # the table's dtype, or None; the output's rows and dtype, and the counts
 # and lookups of the run
@@ -736,11 +747,12 @@ def _ints(code):
             v = shift = 0
 
 
-def _bind(tape, arena, dtype, region):
-    """The tape's ops bound to views of arena, in dtype, the table's.
+def _bind(tape, arena, region):
+    """The tape's ops bound to views of arena, in the table's dtype.
     When region, the ops' views of the root are views of a region after
     the tape's buffers, into which a replay copies its block."""
-    root = np.ndarray(tape.root[0], dtype, arena, tape.arena) if region else None
+    shape, dtype, block_dtype = tape.root
+    root = np.ndarray(shape, dtype, arena, tape.arena) if region else None
     calls, segments, ints, out = [], [], _ints(tape.code), None
     for header in ints:
         args, shape = [], None
@@ -766,7 +778,7 @@ def _bind(tape, arena, dtype, region):
         serial, offset, shape, strides = tape.out
         out = np.ndarray(shape, dtype, arena, tape.offsets[serial] + offset, strides)
         out = out.view(tape.dtype)
-    return _Bound(arena, segments, None if root is None else root.view(tape.root[1]), out)
+    return _Bound(arena, segments, None if root is None else root.view(block_dtype), out)
 
 
 def _replay(bound, tape, x, dtype, dest, cols):
