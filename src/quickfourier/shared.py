@@ -526,8 +526,8 @@ def _taped(x, run, args, key, dest, cols):
     inside its own recording, and so is the thread's arena.  A tape that
     fits TAPE_HELD_BYTES binds to the thread's arena as soon as it is
     recorded, so that no replay allocates views; the arena grows to fit
-    it and then drops the other tapes' views.  Any other tape binds an
-    arena for each block it replays.
+    it and then binds the other kept tapes again.  Any other tape binds
+    an arena for each block it replays.
     """
     state = _TAPES.__dict__
     # key -> (tape, views bound to the thread's arena or None), None once marked
