@@ -126,26 +126,29 @@ its second records the tape and later ones replay it, so a wide call of
 equal blocks replays from its third block on.  Recording keeps each
 operand as a few ints, (buffer serial, byte offset, shape, strides),
 and knows the run's buffers by weak reference only, so it holds none of
-them: it peaks 1.10-1.21 times a plain call at one column of N = 4096.
-An operand that views the block or the output is kept as a basic index:
-a replay reads the block through the view or copy that the driver
-makes, and a wide call's blocks write the output's columns through
-views of their own.  A one-block tape's arena also holds a region for
-the block, which a replay copies in, and the output, which it copies
-out: at one-block sizes two copies cost less than a view of each such
-operand.  Each thread keeps one arena of at most TAPE_HELD_BYTES, which
-every tape that fits binds to in the call that records it, once the
-run's own buffers are gone, and keeps between calls; when the arena
-grows, every tape bound to it is bound again at once, so that no replay
-allocates views.  A larger tape binds an arena for each block it
-replays.  So a replayed call allocates its output and the views of its
-block and output: an 8 MiB wide call peaks at 1.003-1.005 times its
-input's bytes, beside the 1.3 MiB arena its thread keeps, and the call
-that records and binds at 1.18-1.19.  At one column of N = 4096 the
-views of some 200 ops weigh more than the column's arrays, and that
-call peaks at 2.9-3.9 times a plain one.  A
-replay adds the recorded adds and muls to the caller's counter and the
-recorded lookups to the caller's table log; a tape holds no table,
+them: a recording whose tape is not kept peaks 1.16-1.23 times a plain
+call at one column of N = 4096.  An operand that views the block or
+the output is kept as a basic index: a replay reads the block through
+the view or copy that the driver makes, and a wide call's blocks write
+the output's columns through views of their own.  A one-block tape's
+arena also holds a region for the block, which a replay copies in, and
+the output, which it copies out: at one-block sizes two copies cost
+less than a view of each such operand.  Each thread keeps one arena of
+at most TAPE_HELD_BYTES, which every tape that fits binds to in the
+call that records it, once the run's own buffers are gone, and keeps
+between calls; when the arena grows, every tape bound to it is bound
+again at once, so that no replay allocates views.  A larger tape is
+not kept, and its key's later blocks run plain: only one-block calls of
+0.5-1 MiB make one, and binding an arena for each such call had it peak
+at 1.5-1.6 times a plain call.  So a replayed call allocates its output
+and the views of its block and output: an 8 MiB wide call peaks at
+1.003-1.005 times its input's bytes, beside the 1.3 MiB arena its
+thread keeps, and the call that records and binds at 1.18 times.  At
+one column of N = 4096 that call peaks at 3.0-3.6 times a plain one:
+the arena it grows, 96-192 KiB, is alone more than a plain call's peak,
+and the views of some 250 ops weigh about as much.  A replay adds the
+recorded adds and muls to the caller's counter and the recorded lookups
+to the caller's table log; a tape holds no table,
 counter or caller array.  Tapes live in a per-thread cache of at most
 TAPE_KEYS keys, the least recently used evicted first, so no state is
 shared between threads.  A block replays only when it runs through this
@@ -453,7 +456,7 @@ def _block_width(rows, cols, itemsize):
     return -(-cols // max(round(cols / width), 1))
 
 
-def _in_blocks(x, dtype, run, *args):
+def _in_blocks(x, dtype, bound, run, *args):
     """run(x, *args, None) over the columns of x, one block at a time.
 
     A 1-D x is one signal: it runs as one column and comes back 1-D.
@@ -465,14 +468,15 @@ def _in_blocks(x, dtype, run, *args):
     through every call.  Every ufunc runs with UFUNC_BUFSIZE, and the
     caller's buffer size is restored on the way out.  Every block of a
     wide call, and a one-block call of at most BLOCK_BYTES, runs through
-    _taped.
+    _taped, under the key _tape_key makes of bound.
     """
     one = x.ndim == 1  # one signal: run as a free (n, 1) view, squeezed back
     x = x[:, None] if one else x
     rows, cols = x.shape
     itemsize = np.dtype(dtype).itemsize
     width = _block_width(rows, cols, itemsize)
-    key = _tape_key(run, args) if width < cols or rows * cols * itemsize <= BLOCK_BYTES else None
+    taped = width < cols or rows * cols * itemsize <= BLOCK_BYTES
+    key = _tape_key(run, bound, args) if taped else None
     out = None
     bufsize = np.setbufsize(UFUNC_BUFSIZE)
     try:
@@ -502,18 +506,17 @@ def _in_blocks(x, dtype, run, *args):
 TAPE_KEYS = 256
 TAPE_HELD_BYTES = 2 << 20
 _TAPES = threading.local()
-# id of a step table entry_points bound -> (that table, its items then)
-_BOUND = {}
 
 
-def _tape_key(run, args):
+def _tape_key(run, bound, args):
     """What fixes the schedule of run's blocks but their shape, or None when
     they run plain: through a wrapped or patched driver, run_levels,
-    numpy, TrigTable or step table."""
+    numpy or TrigTable, or a step table whose items are no longer those
+    of bound, the (token, items) entry_points took when it bound it."""
     *head, steps, table, counter = args
     if (run in _DRIVERS and run_levels is _RUN_LEVELS and np is _NUMPY and type(table) is TrigTable
-            and _BOUND.get(id(steps)) == (steps, tuple(steps.items()))):
-        return run, *head, id(steps), table.dtype, table.pipeline
+            and tuple(steps.items()) == bound[1]):
+        return run, *head, bound[0], table.dtype, table.pipeline
 
 
 def _taped(x, run, args, key, dest, cols):
@@ -523,18 +526,19 @@ def _taped(x, run, args, key, dest, cols):
     A key's first block runs plain and marks it, and its next one records,
     unless it is the first block of a wide call, which has no dest; later
     ones replay.  A tape is out of the cache while busy, as in a call from
-    inside its own recording, and so is the thread's arena.  A tape that
-    fits TAPE_HELD_BYTES binds to the thread's arena as soon as it is
-    recorded, so that no replay allocates views; the arena grows to fit
-    it and then binds the other kept tapes again.  Any other tape binds
-    an arena for each block it replays.
+    inside its own recording, and so is the thread's arena.  A tape binds
+    to the thread's arena as soon as it is recorded, so that no replay
+    allocates views; the arena grows to fit it and then binds the other
+    kept tapes again.  A tape larger than TAPE_HELD_BYTES is not kept, and
+    its key's later blocks run plain.
     """
     state = _TAPES.__dict__
-    # key -> (tape, views bound to the thread's arena or None), None once marked
+    # key -> (tape, its views bound to the thread's arena), () once a tape
+    # was too large to keep, None once marked
     entries = state.setdefault("entries", {})
     entry = entries.pop(key, False)
-    if entry is False or entry is None and dest is None and x.shape[1] < cols:
-        entries[key] = None
+    if entry is False or entry == () or entry is None and dest is None and x.shape[1] < cols:
+        entries[key] = None if entry is False else entry
         if len(entries) > TAPE_KEYS:
             del entries[next(iter(entries))]
         return run(x, *args, dest)
@@ -543,25 +547,22 @@ def _taped(x, run, args, key, dest, cols):
         (out, tape), kept = _record(x, run, head, steps, table, dest), None
     else:
         tape, kept = entry
-    own = tape.held > TAPE_HELD_BYTES  # an arena for this block only
-    if not own:
+    if tape.held <= TAPE_HELD_BYTES:
         arena = state.pop("arena", None)
         if arena is None or arena.nbytes < tape.held:
             arena = np.empty(tape.held, np.uint8)
             for k, e in entries.items():  # so that no replay binds
-                if e and e[1]:
-                    entries[k] = e[0], _bind(e[0], arena, e[0].out is not None)
+                if e:
+                    entries[k] = e[0], _bind(e[0], arena)
         if kept is None or kept.arena is not arena:
-            kept = _bind(tape, arena, tape.out is not None)
-    if entry is not None:
-        use = _bind(tape, np.empty(tape.arena, np.uint8), False) if own else kept
-        out = _replay(use, tape, _root(run, x, table), table.dtype, dest, cols)
-    if not own:
+            kept = _bind(tape, arena)
+        if entry is not None:
+            out = _replay(kept, tape, _root(run, x, table), table.dtype, dest, cols)
         state["arena"] = arena
     counter.adds += tape.adds
     counter.muls += tape.muls
     table._log.update(tape.log)
-    entries[key] = tape, None if own else kept  # the most recently used go last
+    entries[key] = () if kept is None else (tape, kept)  # the most recently used go last
     return out
 
 
@@ -572,7 +573,11 @@ def _root(run, x, table):
 
 
 def _owner(a):
-    return a if a.base is None else a.base  # NumPy points every view at the owner
+    """The array that owns a's data: NumPy points a view at the owner, but
+    stops at an array whose base is an array subclass, such as a memmap."""
+    while isinstance(a.base, np.ndarray):
+        a = a.base
+    return a
 
 
 def _record(x, run, head, steps, table, dest):
@@ -611,69 +616,54 @@ def _index(d, shape, strides, ref):
     return tuple(index)
 
 
-class _Owner(weakref.ref):
-    """A weak reference to a buffer of a recording run, with its key in
-    the recorder's owners, its serial and its address."""
-
-    __slots__ = ("key", "serial", "address")
-
-
 class _Recorder:
     """The tape list of a recording counter.
 
-    Each op the counted helpers and place append goes into code as ints,
-    each zigzagged into 7-bit groups, low first: the op's place in
-    _FUNCTIONS plus 8 times its operand count, then its operands.  A view
-    of the root or dest (an _At) or a read-only constant is one int, -1 -
-    its index in objects; a view of a buffer the run owns is 8 times the
-    buffer's serial plus 2 times its ndim, plus 1 when its shape is that
-    of the op's view before it, then its byte offset in the buffer, its
-    shape unless that one's, and its strides.  Buffers are known by weak
-    reference only, so each is freed when the plain run frees it.  spans
-    holds each one's bytes and first and last op.
+    Each op the counted helpers and place append goes into code as ints:
+    the op's place in _FUNCTIONS plus 8 times its operand count, then its
+    operands.  A view of the root or dest (an _At) or a read-only constant
+    is one int, -1 - its index in objects; a view of a buffer the run owns
+    is 16 times the buffer's serial plus 4 times its ndim, plus 2 when it
+    is C-contiguous and 1 when its shape is that of the op's view before
+    it, then its byte offset in the buffer, its shape unless that one's,
+    and its strides unless C-contiguous, as 32-bit ints: a taped block's
+    buffers span a few MiB.  Buffers are known by weak reference only, so
+    each is freed when the plain run frees it, and finish drops the
+    references.  spans holds each one's bytes and first and last op.
     """
 
     def __init__(self, root, dest):
         self.root, self.refs = root, {id(_owner(r)): (w, r, r.ctypes.data)
                                       for w, r in enumerate((root, dest)) if r is not None}
-        self.code, self.objects, self.owners, self.ops = bytearray(), [], {}, 0
+        self.code, self.objects, self.owners, self.ops = array("i"), [], {}, 0
         self.spans = array("q")
 
     def append(self, op):
         fn, ins, out = op
         if not out.size:  # writes nothing
             return
-        record, shape = [_FUNCTIONS.index(fn) + 8 * (len(ins) + 1)], None
+        self.code.append(_FUNCTIONS.index(fn) + 8 * (len(ins) + 1))
+        shape = None
         for a in (*ins, out):
             owner = _owner(a) if isinstance(a, np.ndarray) else None
             ref = self.refs.get(id(owner))
             if ref is not None:
                 a = _At(ref[0], _index(a.ctypes.data - ref[2], a.shape, a.strides, ref[1]))
             elif owner is not None and a.flags.writeable:
-                ref = self.owners.get(id(owner))
-                if ref is None:  # a buffer's first use
-                    ref = self.owners[id(owner)] = _Owner(owner, self._gone)
-                    ref.key, ref.serial = id(owner), len(self.spans) // 3
-                    ref.address = owner.ctypes.data
+                known = self.owners.get(id(owner))
+                if known is None:  # a buffer's first use; its entry goes with it
+                    gone = weakref.ref(owner, lambda _, key=id(owner): self.owners.pop(key, None))
+                    known = self.owners[id(owner)] = len(self.spans) // 3, owner.ctypes.data, gone
                     self.spans.extend((owner.nbytes, self.ops, self.ops))
-                self.spans[3 * ref.serial + 2] = self.ops
-                same, shape = a.shape == shape, a.shape
-                record += 8 * ref.serial + 2 * a.ndim + same, a.ctypes.data - ref.address
-                record += a.strides if same else a.shape + a.strides
+                serial, address, _ = known
+                self.spans[3 * serial + 2] = self.ops
+                same, shape, c = a.shape == shape, a.shape, a.flags.c_contiguous
+                self.code.extend((16 * serial + 4 * a.ndim + 2 * c + same, a.ctypes.data - address,
+                                  *(() if same else a.shape), *(() if c else a.strides)))
                 continue
-            record.append(-1 - len(self.objects))
+            self.code.append(-1 - len(self.objects))
             self.objects.append(a)
-        for v in record:
-            v = 2 * v if v >= 0 else -2 * v - 1
-            while v > 127:
-                self.code.append(v & 127 | 128)
-                v >>= 7
-            self.code.append(v)
         self.ops += 1
-
-    def _gone(self, ref):
-        if self.owners.get(ref.key) is ref:
-            del self.owners[ref.key]
 
     def finish(self, out, dtype, table_dtype, counter, log):
         """The tape of the run that returned out, its block's output, whose
@@ -684,9 +674,10 @@ class _Recorder:
         bytes of a region for the root after its buffers.
         """
         ref, view = self.owners.get(id(_owner(out))), out.view(table_dtype)
+        self.owners.clear()  # with their callbacks, which hold the recorder and the root
         if ref is not None:  # the output is read after the last op
-            self.spans[3 * ref.serial + 2] = self.ops
-            ref = ref.serial, view.ctypes.data - ref.address, view.shape, view.strides
+            self.spans[3 * ref[0] + 2] = self.ops
+            ref = ref[0], view.ctypes.data - ref[1], view.shape, view.strides
         offsets, arena = _pack(self.spans)
         return _Tape(self.code, self.objects, offsets, arena,
                      arena + (self.root.nbytes if ref else 0), (self.root.shape, table_dtype, dtype), ref,
@@ -719,9 +710,9 @@ def _pack(spans):
 # (None) and sign flip
 _FUNCTIONS = (None, np.add, np.subtract, np.multiply, np.negative)
 # a block's recorded ops, in the recorder's code, with each buffer's
-# offset in an arena; the bytes of the arena, and those it holds when
-# bound with the root's region after its buffers, as a one-block tape is
-# when kept; the root's shape, the table's dtype and the block's dtype;
+# offset in an arena; the bytes of the buffers, and those the tape binds,
+# a one-block tape's root region after its buffers included; the root's
+# shape, the table's dtype and the block's dtype;
 # the (buffer, offset, shape, strides) of a one-block tape's output in
 # the table's dtype, or None; the output's rows and dtype, and the counts
 # and lookups of the run
@@ -737,23 +728,14 @@ def _copy(x, out):
     out[...] = x
 
 
-def _ints(code):
-    """The ints a recorder wrote into code."""
-    v = shift = 0
-    for b in code:
-        v, shift = v | (b & 127) << shift, shift + 7
-        if b < 128:
-            yield v >> 1 ^ -(v & 1)
-            v = shift = 0
-
-
-def _bind(tape, arena, region):
-    """The tape's ops bound to views of arena, in the table's dtype.
-    When region, the ops' views of the root are views of a region after
-    the tape's buffers, into which a replay copies its block."""
+def _bind(tape, arena):
+    """The tape's ops bound to views of arena, in the table's dtype.  A
+    one-block tape's views of the root are views of a region after the
+    tape's buffers, into which a replay copies its block."""
     shape, dtype, block_dtype = tape.root
+    region = tape.out is not None
     root = np.ndarray(shape, dtype, arena, tape.arena) if region else None
-    calls, segments, ints, out = [], [], _ints(tape.code), None
+    calls, segments, ints, out = [], [], iter(tape.code), None
     for header in ints:
         args, shape = [], None
         for _ in range(header // 8):
@@ -762,9 +744,10 @@ def _bind(tape, arena, region):
                 a = tape.objects[-1 - tag]
                 args.append(root[a.index] if region and type(a) is _At and not a.which else a)
                 continue
-            n, offset = tag % 8 // 2, tape.offsets[tag // 8] + next(ints)
+            n, offset = tag % 16 // 4, tape.offsets[tag // 16] + next(ints)
             shape = shape if tag % 2 else tuple(islice(ints, n))
-            args.append(np.ndarray(shape, dtype, arena, offset, tuple(islice(ints, n))))
+            strides = None if tag & 2 else tuple(islice(ints, n))  # None: C order
+            args.append(np.ndarray(shape, dtype, arena, offset, strides))
         fn = _FUNCTIONS[header % 8]
         ats = [(p, a.which, a.index) for p, a in enumerate(args) if type(a) is _At]
         if ats:
@@ -841,27 +824,31 @@ def entry_points(module, steps):
     recursions apart.
     """
     algorithm = module.rpartition(".")[2].capitalize()
-    _BOUND[id(steps)] = steps, tuple(steps.items())
+    # a token for the tape keys, which hold it, and the items that replay
+    bound = object(), tuple(steps.items())
 
     def cdft(values, table=None, counter=None):
         """complex DFT, reported for k = 0..N-1."""
         z, N, table, counter = _prepare(values, "cdft", table, counter)
-        return _in_blocks(z, _complex_of(table.dtype), complex_spectrum, N, steps, table, counter)
+        return _in_blocks(z, _complex_of(table.dtype), bound, complex_spectrum, N, steps, table,
+                          counter)
 
     def rdft(values, table=None, counter=None):
         """real-input DFT, reported for k = 0..N/2."""
         x, N, table, counter = _prepare(values, "rdft", table, counter)
-        return _in_blocks(x, x.dtype, half_spectrum, N, steps, table, counter)
+        return _in_blocks(x, x.dtype, bound, half_spectrum, N, steps, table, counter)
 
     def dct0(values, table=None, counter=None):
         """cosine transform; values are s(0)..s(N/2)."""
         x, N, table, counter = _prepare(values, "dct0", table, counter)
-        return _in_blocks(x, x.dtype, one_recursion, ROOT_TYPE["dct0"], N, steps, table, counter)
+        return _in_blocks(x, x.dtype, bound, one_recursion, ROOT_TYPE["dct0"], N, steps, table,
+                          counter)
 
     def dst0(values, table=None, counter=None):
         """sine transform; values are s(1)..s(N/2-1)."""
         x, N, table, counter = _prepare(values, "dst0", table, counter)
-        return _in_blocks(x, x.dtype, one_recursion, ROOT_TYPE["dst0"], N, steps, table, counter)
+        return _in_blocks(x, x.dtype, bound, one_recursion, ROOT_TYPE["dst0"], N, steps, table,
+                          counter)
 
     fns = (cdft, rdft, dct0, dst0)
     for fn in fns:
