@@ -103,12 +103,13 @@ and 3.57 times its input at N = 4096, 1024 and 256 (classical 2.36,
 2.68 and 3.88) and improved cdft at 2.02, 2.19 and 2.71 (classical 2.05,
 2.45 and 3.01); at 16 columns of N = 64, both transforms peak at
 2.07-2.20 times (classical 2.37-2.56).  A wider call allocates its one
-output once the first block's result exists and copies that result in;
-every later block writes its spectra straight into the output's
-columns, so the call peaks at the output plus one block's working set,
-1.13-1.16 times an 8 MiB input's bytes.  These peaks are those of a
-plain call; a replayed call allocates its output and little else (see
-below).
+output before its first block, its rows taxonomy's stored harmonics of
+the transform's root, and every block writes its spectra straight into
+the output's columns, so the call peaks at the output plus one block's
+working set, 1.13-1.16 times an 8 MiB input's bytes.  A call of no
+columns returns that output empty, with nothing counted.  These peaks
+are those of a plain call; a replayed call allocates its output and
+little else (see below).
 
 The schedule a block runs never changes for a given key: the driver,
 the step table, the root type and N, the block's shape, whether it is a
@@ -126,29 +127,28 @@ its second records the tape and later ones replay it, so a wide call of
 equal blocks replays from its third block on.  Recording keeps each
 operand as a few ints, (buffer serial, byte offset, shape, strides),
 and knows the run's buffers by weak reference only, so it holds none of
-them: a recording whose tape is not kept peaks 1.16-1.23 times a plain
+them: a recording whose tape is not kept peaks 1.15-1.22 times a plain
 call at one column of N = 4096.  An operand that views the block or
-the output is kept as a basic index: a replay reads the block through
-the view or copy that the driver makes, and a wide call's blocks write
-the output's columns through views of their own.  A one-block tape's
-arena also holds a region for the block, which a replay copies in, and
-the output, which it copies out: at one-block sizes two copies cost
-less than a view of each such operand.  Each thread keeps one arena of
-at most TAPE_HELD_BYTES, which every tape that fits binds to in the
-call that records it, once the run's own buffers are gone, and keeps
-between calls; when the arena grows, every tape bound to it is bound
-again at once, so that no replay allocates views.  A larger tape is
-not kept, and its key's later blocks run plain: only one-block calls of
-0.5-1 MiB make one, and binding an arena for each such call had it peak
-at 1.5-1.6 times a plain call.  So a replayed call allocates its output
-and the views of its block and output: an 8 MiB wide call peaks at
-1.003-1.005 times its input's bytes, beside the 1.3 MiB arena its
-thread keeps, and the call that records and binds at 1.18 times.  At
-one column of N = 4096 that call peaks at 3.0-3.6 times a plain one:
-the arena it grows, 96-192 KiB, is alone more than a plain call's peak,
-and the views of some 250 ops weigh about as much.  A replay adds the
-recorded adds and muls to the caller's counter and the recorded lookups
-to the caller's table log; a tape holds no table,
+the output is kept as a basic index: every replay reads the block where
+it lies, through the view or copy that the driver makes, and a wide
+call's blocks write the output's columns through views of their own.
+A one-block call has no output before its run, so its tape's output is
+a buffer of the arena, which a replay copies out.  Each thread keeps
+one arena of at most TAPE_HELD_BYTES, which every tape that fits binds
+to in the call that records it, once the run's own buffers are gone,
+and keeps between calls; when the arena grows, every tape bound to it
+is bound again at once, so that no replay allocates views.  A larger
+tape is not kept, and its key's later blocks run plain: only one-block
+calls of 0.5-1 MiB make one, and binding an arena for each such call
+had it peak at 1.5-1.6 times a plain call.  So a replayed call
+allocates its output and the views of its block and output: an 8 MiB
+wide call peaks at 1.003-1.005 times its input's bytes, beside the
+1.3 MiB arena its thread keeps, and the call that records and binds at
+1.18 times.  At one column of N = 4096 that call peaks at 2.5-3.1
+times a plain one: the arena it grows, 64-128 KiB, is alone more than a
+plain call's peak, and the views of some 250 ops weigh about as much.  A
+replay adds the recorded adds and muls to the caller's counter and the
+recorded lookups to the caller's table log; a tape holds no table,
 counter or caller array.  Tapes live in a per-thread cache of at most
 TAPE_KEYS keys, the least recently used evicted first, so no state is
 shared between threads.  A block replays only when it runs through this
@@ -180,6 +180,7 @@ runs in place, rdft's into out.real and out.imag, dct0's and dst0's into
 out itself.
 """
 
+import sys
 import threading
 import weakref
 from array import array
@@ -190,7 +191,7 @@ from itertools import islice
 import numpy as np
 
 from .counting import OpCounter, TrigTable, cadd, csub, place
-from .taxonomy import ROOT_TYPE, lk, ln, periodization
+from .taxonomy import ROOT_TYPE, lk, ln, periodization, sto_k
 
 # one entry of a step table; the module docstring gives the fields
 Step = namedtuple("Step", "leaf children via base forward backward")
@@ -328,8 +329,7 @@ def _real_spectra(x, N, steps, table, counter, dest_c, dest_s, own):
     # would stay allocated beside the buffers of both recursions
     x = x.pop()
     even = np.empty((N // 2 + 1, x.shape[1]), x.dtype)
-    place(counter, x[0], even[0])
-    place(counter, x[N // 2], even[N // 2])
+    place(counter, x[0:N // 2 + 1:N // 2], even[0::N // 2])  # rows 0 and N/2
     cadd(counter, x[1:N // 2], x[N - 1:N // 2:-1], even[1:N // 2])
     even = [even]
     if own:
@@ -401,8 +401,7 @@ def half_spectrum(x, N, steps, table, counter, out=None):
         place(counter, spec_c, out.real)
     spec_c = None
     place(counter, spec_s, out.imag[1:-1], np.negative)  # Im(k) = -sine spectrum
-    place(counter, 0, out.imag[0])  # harmonics 0 and N/2 of a real signal are real
-    place(counter, 0, out.imag[-1])
+    place(counter, 0, out.imag[0::N // 2])  # harmonics 0 and N/2 of a real signal are real
     return out
 
 
@@ -456,19 +455,23 @@ def _block_width(rows, cols, itemsize):
     return -(-cols // max(round(cols / width), 1))
 
 
-def _in_blocks(x, dtype, bound, run, *args):
+def _in_blocks(x, dtype, transform, bound, run, *args):
     """run(x, *args, None) over the columns of x, one block at a time.
 
     A 1-D x is one signal: it runs as one column and comes back 1-D.
     run(block, *args, out) transforms a block of columns, whose samples
     it works in dtype, and writes the result into out, or into an array
-    of its own when out is None, as for the first block.  The module
-    docstring gives the order of allocation.  The arguments are passed
-    on rather than bound in a closure, which would stay allocated
-    through every call.  Every ufunc runs with UFUNC_BUFSIZE, and the
-    caller's buffer size is restored on the way out.  Every block of a
-    wide call, and a one-block call of at most BLOCK_BYTES, runs through
-    _taped, under the key _tape_key makes of bound.
+    of its own when out is None, as for a call that runs as one block.
+    A wider call, or one of no columns, allocates the output of the
+    public transform before its first block: its rows are the stored
+    harmonics of the transform's root, its dtype the complex one of
+    dtype for rdft and dtype otherwise.  The arguments are passed on
+    rather than bound in a closure, which would stay allocated through
+    every call; they end in N, the step table, the TrigTable and the
+    counter.  Every ufunc runs with UFUNC_BUFSIZE, and the caller's
+    buffer size is restored on the way out.  Every block of a wide call,
+    and a one-block call of at most BLOCK_BYTES, runs through _taped,
+    under the key _tape_key makes of bound.
     """
     one = x.ndim == 1  # one signal: run as a free (n, 1) view, squeezed back
     x = x[:, None] if one else x
@@ -478,17 +481,17 @@ def _in_blocks(x, dtype, bound, run, *args):
     taped = width < cols or rows * cols * itemsize <= BLOCK_BYTES
     key = _tape_key(run, bound, args) if taped else None
     out = None
+    if width < cols or not cols:  # every block writes its columns of one output
+        out = np.empty((len(sto_k(ROOT_TYPE[transform], args[-4])), cols),
+                       _complex_of(dtype) if transform == "rdft" else dtype)
     bufsize = np.setbufsize(UFUNC_BUFSIZE)
     try:
-        for c0 in range(0, cols, width):
+        for c0 in range(0, cols, width or 1):  # no columns: width 0, and no block runs
             block = x if cols <= width else x[:, c0:c0 + width]
             dest = None if out is None else out[:, c0:c0 + width]
             got = (run(block, *args, dest) if key is None else
-                   _taped(block, run, args, (*key, block.shape, cols <= width), dest, cols))
-            if out is None and got.shape[1] < cols:  # the first block's own output
-                out = np.empty((got.shape[0], cols), got.dtype)
-                out[:, :width] = got
-            out, got = got if out is None else out, None
+                   _taped(block, run, args, (*key, block.shape, cols <= width), dest))
+            out = got if out is None else out
         return out[:, 0] if one else out
     finally:
         np.setbufsize(bufsize)
@@ -519,25 +522,24 @@ def _tape_key(run, bound, args):
         return run, *head, bound[0], table.dtype, table.pipeline
 
 
-def _taped(x, run, args, key, dest, cols):
-    """run(x, *args, dest) for one block of a call of cols columns, from
-    this thread's tape of key once there is one.
+def _taped(x, run, args, key, dest):
+    """run(x, *args, dest) for one block, from this thread's tape of key
+    once there is one.
 
-    A key's first block runs plain and marks it, and its next one records,
-    unless it is the first block of a wide call, which has no dest; later
-    ones replay.  A tape is out of the cache while busy, as in a call from
-    inside its own recording, and so is the thread's arena.  A tape binds
-    to the thread's arena as soon as it is recorded, so that no replay
-    allocates views; the arena grows to fit it and then binds the other
-    kept tapes again.  A tape larger than TAPE_HELD_BYTES is not kept, and
-    its key's later blocks run plain.
+    A key's first block runs plain and marks it, its next one records and
+    later ones replay.  A tape is out of the cache while busy, as in a
+    call from inside its own recording, and so is the thread's arena.  A
+    tape binds to the thread's arena as soon as it is recorded, so that
+    no replay allocates views; the arena grows to fit it and then binds
+    the other kept tapes again.  A tape larger than TAPE_HELD_BYTES is not
+    kept, and its key's later blocks run plain.
     """
     state = _TAPES.__dict__
     # key -> (tape, its views bound to the thread's arena), () once a tape
     # was too large to keep, None once marked
     entries = state.setdefault("entries", {})
     entry = entries.pop(key, False)
-    if entry is False or entry == () or entry is None and dest is None and x.shape[1] < cols:
+    if entry is False or entry == ():
         entries[key] = None if entry is False else entry
         if len(entries) > TAPE_KEYS:
             del entries[next(iter(entries))]
@@ -547,17 +549,17 @@ def _taped(x, run, args, key, dest, cols):
         (out, tape), kept = _record(x, run, head, steps, table, dest), None
     else:
         tape, kept = entry
-    if tape.held <= TAPE_HELD_BYTES:
+    if tape.arena <= TAPE_HELD_BYTES:
         arena = state.pop("arena", None)
-        if arena is None or arena.nbytes < tape.held:
-            arena = np.empty(tape.held, np.uint8)
+        if arena is None or arena.nbytes < tape.arena:
+            arena = np.empty(tape.arena, np.uint8)
             for k, e in entries.items():  # so that no replay binds
                 if e:
                     entries[k] = e[0], _bind(e[0], arena)
         if kept is None or kept.arena is not arena:
             kept = _bind(tape, arena)
         if entry is not None:
-            out = _replay(kept, tape, _root(run, x, table), table.dtype, dest, cols)
+            out = _replay(kept, _root(run, x, table), table.dtype, dest)
         state["arena"] = arena
     counter.adds += tape.adds
     counter.muls += tape.muls
@@ -570,6 +572,21 @@ def _root(run, x, table):
     """The block x as run reads it: cdft's complex columns, which it
     copies where _complex_columns says."""
     return _complex_columns(x, _complex_of(table.dtype)) if run is complex_spectrum else x
+
+
+def _address(a):
+    """The address of a's first cell.  Not a.ctypes.data: NumPy's getter
+    looks its helper up by a name string that it makes on each call, and
+    CPython's type attribute cache keeps each such name, in a slot picked
+    by its address, until another lookup takes the slot."""
+    return a.__array_interface__["data"][0]
+
+
+# __array_interface__ interns its key "typestr" on each call.  While
+# nothing else holds that string, CPython 3.11 adds it to its table of
+# interned strings and drops it again each time, and rebuilds the table,
+# 1.9 MB at a time, every few ten thousand calls
+_TYPESTR = sys.intern("typestr")
 
 
 def _owner(a):
@@ -594,7 +611,7 @@ def _record(x, run, head, steps, table, dest):
     rec, log = OpCounter(), TrigTable(table.dtype, table.pipeline)
     rec.tape = _Recorder(root.view(table.dtype), None if dest is None else dest.view(table.dtype))
     out = run(root, *head, steps, log, rec, dest)
-    return out, rec.tape.finish(out, root.dtype, table.dtype, rec, log)
+    return out, rec.tape.finish(out, table.dtype, rec, log)
 
 
 # an operand a replay takes from the root (which 0) or the output (which 1)
@@ -633,8 +650,8 @@ class _Recorder:
     """
 
     def __init__(self, root, dest):
-        self.root, self.refs = root, {id(_owner(r)): (w, r, r.ctypes.data)
-                                      for w, r in enumerate((root, dest)) if r is not None}
+        self.refs = {id(_owner(r)): (w, r, _address(r)) for w, r in enumerate((root, dest))
+                     if r is not None}
         self.code, self.objects, self.owners, self.ops = array("i"), [], {}, 0
         self.spans = array("q")
 
@@ -648,40 +665,38 @@ class _Recorder:
             owner = _owner(a) if isinstance(a, np.ndarray) else None
             ref = self.refs.get(id(owner))
             if ref is not None:
-                a = _At(ref[0], _index(a.ctypes.data - ref[2], a.shape, a.strides, ref[1]))
+                a = _At(ref[0], _index(_address(a) - ref[2], a.shape, a.strides, ref[1]))
             elif owner is not None and a.flags.writeable:
                 known = self.owners.get(id(owner))
                 if known is None:  # a buffer's first use; its entry goes with it
                     gone = weakref.ref(owner, lambda _, key=id(owner): self.owners.pop(key, None))
-                    known = self.owners[id(owner)] = len(self.spans) // 3, owner.ctypes.data, gone
+                    known = self.owners[id(owner)] = len(self.spans) // 3, _address(owner), gone
                     self.spans.extend((owner.nbytes, self.ops, self.ops))
                 serial, address, _ = known
                 self.spans[3 * serial + 2] = self.ops
                 same, shape, c = a.shape == shape, a.shape, a.flags.c_contiguous
-                self.code.extend((16 * serial + 4 * a.ndim + 2 * c + same, a.ctypes.data - address,
+                self.code.extend((16 * serial + 4 * a.ndim + 2 * c + same, _address(a) - address,
                                   *(() if same else a.shape), *(() if c else a.strides)))
                 continue
             self.code.append(-1 - len(self.objects))
             self.objects.append(a)
         self.ops += 1
 
-    def finish(self, out, dtype, table_dtype, counter, log):
+    def finish(self, out, dtype, counter, log):
         """The tape of the run that returned out, its block's output, whose
-        root it read in dtype and whose ops ran in table_dtype.
+        ops ran in dtype, the table's.
 
         An output the run allocated is a buffer of the tape's, which a
-        replay copies out after the last op; such a tape also holds the
-        bytes of a region for the root after its buffers.
+        replay copies out after the last op.
         """
-        ref, view = self.owners.get(id(_owner(out))), out.view(table_dtype)
+        ref, view = self.owners.get(id(_owner(out))), out.view(dtype)
         self.owners.clear()  # with their callbacks, which hold the recorder and the root
         if ref is not None:  # the output is read after the last op
             self.spans[3 * ref[0] + 2] = self.ops
-            ref = ref[0], view.ctypes.data - ref[1], view.shape, view.strides
+            ref = ref[0], _address(view) - ref[1], view.shape, view.strides, out.dtype
         offsets, arena = _pack(self.spans)
-        return _Tape(self.code, self.objects, offsets, arena,
-                     arena + (self.root.nbytes if ref else 0), (self.root.shape, table_dtype, dtype), ref,
-                     out.shape[0], out.dtype, counter.adds, counter.muls, log._log)
+        return _Tape(self.code, self.objects, offsets, arena, dtype, ref, counter.adds,
+                     counter.muls, log._log)
 
 
 def _pack(spans):
@@ -710,18 +725,16 @@ def _pack(spans):
 # (None) and sign flip
 _FUNCTIONS = (None, np.add, np.subtract, np.multiply, np.negative)
 # a block's recorded ops, in the recorder's code, with each buffer's
-# offset in an arena; the bytes of the buffers, and those the tape binds,
-# a one-block tape's root region after its buffers included; the root's
-# shape, the table's dtype and the block's dtype;
-# the (buffer, offset, shape, strides) of a one-block tape's output in
-# the table's dtype, or None; the output's rows and dtype, and the counts
-# and lookups of the run
-_Tape = namedtuple("_Tape", "code objects offsets arena held root out rows dtype adds muls log")
+# offset in an arena and the arena's bytes; the table's dtype, in which
+# the ops run; the (buffer, offset, shape, strides) of a one-block tape's
+# output in the table's dtype and the output's dtype, or None; and the
+# counts and lookups of the run
+_Tape = namedtuple("_Tape", "code objects offsets arena dtype out adds muls log")
 # a tape's ops bound to views of an arena, in segments: the calls up to an
 # op that takes an operand from the root or the output, then that op as
 # (function, operands, (position, which, index) of each such operand);
-# the root's region or None, and a one-block tape's output or None
-_Bound = namedtuple("_Bound", "arena segments root out")
+# and a one-block tape's output or None
+_Bound = namedtuple("_Bound", "arena segments out")
 
 
 def _copy(x, out):
@@ -729,25 +742,19 @@ def _copy(x, out):
 
 
 def _bind(tape, arena):
-    """The tape's ops bound to views of arena, in the table's dtype.  A
-    one-block tape's views of the root are views of a region after the
-    tape's buffers, into which a replay copies its block."""
-    shape, dtype, block_dtype = tape.root
-    region = tape.out is not None
-    root = np.ndarray(shape, dtype, arena, tape.arena) if region else None
+    """The tape's ops bound to views of arena, in the table's dtype."""
     calls, segments, ints, out = [], [], iter(tape.code), None
     for header in ints:
         args, shape = [], None
         for _ in range(header // 8):
             tag = next(ints)
             if tag < 0:
-                a = tape.objects[-1 - tag]
-                args.append(root[a.index] if region and type(a) is _At and not a.which else a)
+                args.append(tape.objects[-1 - tag])
                 continue
             n, offset = tag % 16 // 4, tape.offsets[tag // 16] + next(ints)
             shape = shape if tag % 2 else tuple(islice(ints, n))
             strides = None if tag & 2 else tuple(islice(ints, n))  # None: C order
-            args.append(np.ndarray(shape, dtype, arena, offset, strides))
+            args.append(np.ndarray(shape, tape.dtype, arena, offset, strides))
         fn = _FUNCTIONS[header % 8]
         ats = [(p, a.which, a.index) for p, a in enumerate(args) if type(a) is _At]
         if ats:
@@ -758,22 +765,17 @@ def _bind(tape, arena):
                          else (args[-1].__setitem__, (Ellipsis, *args[:-1])))
     segments.append((calls, None))
     if tape.out is not None:
-        serial, offset, shape, strides = tape.out
-        out = np.ndarray(shape, dtype, arena, tape.offsets[serial] + offset, strides)
-        out = out.view(tape.dtype)
-    return _Bound(arena, segments, None if root is None else root.view(block_dtype), out)
+        serial, offset, shape, strides, dtype = tape.out
+        out = np.ndarray(shape, tape.dtype, arena, tape.offsets[serial] + offset, strides).view(dtype)
+    return _Bound(arena, segments, out)
 
 
-def _replay(bound, tape, x, dtype, dest, cols):
-    """The output of the block x, as run reads it, from the bound ops: a
-    one-block tape's, copied out of the arena, or dest, or a new output of
-    cols columns for the first block of a wide call, which the ops write
-    into; dtype is the table's."""
-    if bound.root is not None:
-        bound.root[...] = x
-    if tape.out is None and dest is None:
-        dest = np.empty((tape.rows, cols), tape.dtype)
-    refs = x.view(dtype), None if dest is None else dest[:, :x.shape[1]].view(dtype)
+def _replay(bound, x, dtype, dest):
+    """The output of the block x, as run reads it, from the bound ops,
+    which read x and write dest through basic indexes of their views in
+    dtype, the table's: a one-block tape's output, copied out of the
+    arena, or dest."""
+    refs = x.view(dtype), None if dest is None else dest.view(dtype)
     for calls, patch in bound.segments:
         for fn, args in calls:
             fn(*args)
@@ -783,7 +785,7 @@ def _replay(bound, tape, x, dtype, dest, cols):
             for p, which, index in ats:
                 args[p] = refs[which][index]
             fn(*args)
-    return dest if tape.out is None else bound.out.copy()
+    return dest if bound.out is None else bound.out.copy()
 
 
 # -- public entry points ----------------------------------------------------
@@ -830,25 +832,25 @@ def entry_points(module, steps):
     def cdft(values, table=None, counter=None):
         """complex DFT, reported for k = 0..N-1."""
         z, N, table, counter = _prepare(values, "cdft", table, counter)
-        return _in_blocks(z, _complex_of(table.dtype), bound, complex_spectrum, N, steps, table,
-                          counter)
+        return _in_blocks(z, _complex_of(table.dtype), "cdft", bound, complex_spectrum, N, steps,
+                          table, counter)
 
     def rdft(values, table=None, counter=None):
         """real-input DFT, reported for k = 0..N/2."""
         x, N, table, counter = _prepare(values, "rdft", table, counter)
-        return _in_blocks(x, x.dtype, bound, half_spectrum, N, steps, table, counter)
+        return _in_blocks(x, x.dtype, "rdft", bound, half_spectrum, N, steps, table, counter)
 
     def dct0(values, table=None, counter=None):
         """cosine transform; values are s(0)..s(N/2)."""
         x, N, table, counter = _prepare(values, "dct0", table, counter)
-        return _in_blocks(x, x.dtype, bound, one_recursion, ROOT_TYPE["dct0"], N, steps, table,
-                          counter)
+        return _in_blocks(x, x.dtype, "dct0", bound, one_recursion, ROOT_TYPE["dct0"], N, steps,
+                          table, counter)
 
     def dst0(values, table=None, counter=None):
         """sine transform; values are s(1)..s(N/2-1)."""
         x, N, table, counter = _prepare(values, "dst0", table, counter)
-        return _in_blocks(x, x.dtype, bound, one_recursion, ROOT_TYPE["dst0"], N, steps, table,
-                          counter)
+        return _in_blocks(x, x.dtype, "dst0", bound, one_recursion, ROOT_TYPE["dst0"], N, steps,
+                          table, counter)
 
     fns = (cdft, rdft, dct0, dst0)
     for fn in fns:

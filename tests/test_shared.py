@@ -183,7 +183,8 @@ def test_improved_holds_no_more_than_classical(transform, shape):
 
 # float64 inputs of 8 MiB: eight column blocks each, so a call holds its
 # output, about the input's bytes, plus one block's working set, in which
-# every block after the first writes its spectra straight into the output
+# every block writes its spectra straight into the output, which the call
+# allocates before its first block
 WIDE_SHAPES = {"cdft": (1024, 512), "rdft": (1024, 1024)}
 
 
@@ -397,6 +398,22 @@ def test_other_real_samples_work_in_float64(algorithm, transform, sample):
     assert got.dtype == (np.complex128 if transform in ("cdft", "rdft") else np.float64)
     assert got.dtype == want.dtype
     assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("N", [64, 16384])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("algorithm,transform", ENTRY_POINTS)
+def test_no_columns_give_an_empty_output(algorithm, transform, dtype, N):
+    # as numpy.fft does: the transform's rows by no columns, in the dtype
+    # of a call with columns, with nothing counted and no constant
+    # touched.  At N = 16384 every transform runs at its whole width
+    fn = getattr(MODULES[algorithm], transform)
+    x = signals(transform, N, 1, dtype, 3)
+    want = fn(x)
+    table, counter = TrigTable(dtype=dtype), OpCounter()
+    got = fn(x[:, :0], table=table, counter=counter)
+    assert (got.shape, got.dtype) == ((want.shape[0], 0), want.dtype)
+    assert (counter.adds, counter.muls, table.touched) == (0, 0, set())
 
 
 @pytest.mark.parametrize("N", [4, 8, 64, 256])

@@ -133,7 +133,7 @@ def test_the_byte_bound_is_inclusive(algorithm, transform, N, cols, dtype, monke
 @pytest.mark.parametrize("algorithm,transform", ENTRY_POINTS)
 def test_one_tape_serves_every_layout_and_read_only_input(algorithm, transform, dtype, layout,
                                                            monkeypatch):
-    # each call copies its input into the tape's root region: a tape
+    # a tape reads each call's input through basic indexes of it: a tape
     # recorded on a strided or reversed view replays for a contiguous or
     # a read-only copy, and never writes the caller's array
     fn = getattr(MODULES[algorithm], transform)
@@ -356,9 +356,10 @@ def test_a_table_patched_after_binding_runs_plain():
 @pytest.mark.parametrize("algorithm,transform", ENTRY_POINTS)
 def test_a_tape_holds_no_table_counter_or_caller_array(algorithm, transform):
     # a tape and the arena it keeps bound hold views of that arena, and
-    # beside them only scalars and the shared cache's read-only constants.
-    # A writable array outside the arena would be one the recorder did not
-    # see written, whose values a replay would read as they were
+    # beside them only scalars, the basic indexes of the block's views and
+    # the shared cache's read-only constants.  A writable array outside
+    # the arena would be one the recorder did not see written, whose
+    # values a replay would read as they were
     x = signals(transform, 256, 2, np.float64, 8)
     fn = getattr(MODULES[algorithm], transform)
 
@@ -370,7 +371,8 @@ def test_a_tape_holds_no_table_counter_or_caller_array(algorithm, transform):
         held = [a for calls, _ in bound.segments for _, args in calls for a in args]
         held += [fn.__self__ for calls, _ in bound.segments for fn, _ in calls
                  if hasattr(fn, "__self__")]
-        return tape, bound, held + [bound.root, bound.out, *tape.objects], table, counter
+        held += [a for _, patch in bound.segments if patch for a in patch[1]]
+        return tape, bound, held + [bound.out, *tape.objects], table, counter
 
     tape, bound, held, table, counter = in_fresh_thread(run)
     assert all(len(calls) and patch is None for calls, patch in bound.segments[-1:])
@@ -384,10 +386,10 @@ def test_a_tape_holds_no_table_counter_or_caller_array(algorithm, transform):
 # peaks over a plain call's, in fresh threads.  Recording turns each
 # operand into a few ints as it comes and holds no buffer of the run it
 # records: at (4096, 1) a recording call whose tape is not kept peaks at
-# 1.16-1.23 times a plain call on CPython 3.11.  A tape that fits
+# 1.15-1.22 times a plain call on CPython 3.11.  A tape that fits
 # TAPE_HELD_BYTES is bound to the thread's arena once the run's buffers
 # are gone, so that no replay allocates its views, and that call peaks
-# at 3.0-3.6 times: the arena it grows is alone more than a plain call's
+# at 2.5-3.1 times: the arena it grows is alone more than a plain call's
 # peak at one column, and the views of some 250 ops weigh about as much.
 # That call does not meet the recorder's 1.3; binding on the first
 # replay instead would move the same bytes into the first replayed call.
@@ -397,7 +399,7 @@ def test_a_tape_holds_no_table_counter_or_caller_array(algorithm, transform):
 # all replay, at 0.87-0.89.  The margins leave room for other builds'
 # object sizes
 RECORD_PEAK_BOUND = 1.3
-RECORD_AND_BIND_PEAK_BOUND = 4.5
+RECORD_AND_BIND_PEAK_BOUND = 3.3
 REPLAY_PEAK_BOUND = 0.6
 
 
@@ -522,9 +524,9 @@ def test_the_arena_shares_bytes_only_between_buffers_no_op_shares(algorithm, tra
     # packing puts two buffers on the same bytes only when no op touches
     # both: each op's output overlaps an input in the arena exactly where
     # it did in the plain run, so NumPy takes the same path on both,
-    # whether the tape copies its block into a root region and its output
-    # out, as a one-block call's does, or reads the block and writes the
-    # output's columns where they are, as a wide call's blocks do
+    # whether the tape copies its output out of the arena, as a one-block
+    # call's does, or writes the output's columns where they are, as a
+    # wide call's blocks do; every tape reads the block where it is
     N, steps = 256, MODULES[algorithm].STEPS
     run, head = DRIVERS[transform]
     x = signals(transform, N, 2, np.float64, 9)
@@ -537,7 +539,7 @@ def test_the_arena_shares_bytes_only_between_buffers_no_op_shares(algorithm, tra
     _, tape = shared._record(x, run, (*head, N), steps, TrigTable(), dest)
     assert (tape.out is None) == wide
     root = shared._root(run, x, TrigTable()).view(np.float64)
-    ops = bound_ops(shared._bind(tape, np.empty(tape.held, np.uint8)), root,
+    ops = bound_ops(shared._bind(tape, np.empty(tape.arena, np.uint8)), root,
                     None if dest is None else dest.view(np.float64))
     assert len(ops) == len(plain_ops)
     for (ins, out), (bound_ins, bound_out) in zip(plain_ops, ops):
